@@ -26,6 +26,11 @@ from .fem import DensityField
 from .microstructure import MicroConfig, solve_micro
 from .pressure import PressureConfig, solve_arch
 
+# Names the linear-solver code that produced a dataset's targets. A solver
+# change that moves targets, even in their last bits, changes this tag, so a
+# resume re-solves the old samples instead of mixing them with new ones.
+SOLVER_REVISION = "banded-cholesky-1"
+
 PROBLEMS = {
     "cantilever": (CantileverConfig, solve_cantilever),
     "arch": (PressureConfig, solve_arch),
@@ -153,16 +158,24 @@ class ManifestRecord:
 
 
 def config_fingerprint(problem: str, cfg) -> str:
-    """Hash of the full solver config minus the swept volume fraction."""
+    """Hash of the full solver config minus the swept volume fraction, plus
+    SOLVER_REVISION."""
     d = dataclasses.asdict(cfg)
     d.pop("vf", None)
-    blob = json.dumps({"problem": problem, "config": d}, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(
+        {"problem": problem, "config": d, "solver": SOLVER_REVISION},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def manifest_bytes(records: list[ManifestRecord]) -> bytes:
+    return "".join(r.to_json() + "\n" for r in records).encode("utf-8")
+
+
 def write_manifest(records: list[ManifestRecord], path: str) -> None:
-    body = "".join(r.to_json() + "\n" for r in records)
-    atomic_write(path, body.encode("utf-8"))
+    atomic_write(path, manifest_bytes(records))
 
 
 def read_manifest(path: str, validate: bool = True) -> list[ManifestRecord]:
@@ -214,7 +227,8 @@ def generate_dataset(
     Resumable: samples whose manifest entry carries the current config
     fingerprint and whose files still exist are not re-solved. Failed solves
     become error records and are retried on the next run. All file writes are
-    atomic, and the manifest is rewritten once at the end.
+    atomic, and the manifest is rewritten once at the end, unless its bytes
+    would not change.
     """
     if problem not in PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}, expected one of {sorted(PROBLEMS)}")
@@ -275,7 +289,14 @@ def generate_dataset(
     else:
         records = [run_one(v, t) for v, t in zip(vfs, tags)]
 
-    write_manifest(records, manifest_path)
+    # a resume that changed nothing leaves the manifest's inode and mtime alone
+    try:
+        with open(manifest_path, "rb") as fh:
+            unchanged = fh.read() == manifest_bytes(records)
+    except FileNotFoundError:
+        unchanged = False
+    if not unchanged:
+        write_manifest(records, manifest_path)
     return records
 
 

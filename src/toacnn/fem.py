@@ -22,7 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import SolverFailure
 
@@ -221,6 +222,122 @@ def assemble_stiffness(
     return ((k + k.T) * 0.5).tocsr()
 
 
+@dataclass(frozen=True)
+class Factor:
+    """Banded Cholesky factor of a matrix's free block, reusable across solves.
+
+    ``order`` lists the free DOFs in band order and ``cholesky`` holds the
+    upper band of the factor, ``(bandwidth + 1, n_free)`` in Fortran order,
+    as ``scipy.linalg.cholesky_banded`` returns it. Build it with factorize.
+    """
+
+    matrix: sp.csr_array
+    fixed_dofs: np.ndarray
+    order: np.ndarray
+    cholesky: np.ndarray
+
+    @property
+    def bandwidth(self) -> int:
+        return self.cholesky.shape[0] - 1
+
+    def solve(
+        self,
+        rhs_columns: np.ndarray,
+        fixed_values: np.ndarray | None = None,
+        tol: float = 1e-8,
+    ) -> np.ndarray:
+        """Full solutions of K u = f, one row per right-hand side in ``rhs_columns``.
+
+        The fixed DOFs take ``fixed_values`` (zeros when omitted). Each
+        solution is iteratively refined, at most six passes, until its
+        relative residual ||r_free|| / ||b_free|| meets ``tol``; badly scaled
+        SIMP systems need a few. Lift and residuals come from products with
+        the full matrix. Raises SolverFailure (with the residual attached)
+        when refinement stalls short.
+        """
+        if fixed_values is None:
+            fixed_values = np.zeros(self.fixed_dofs.size)
+        rhs_columns = np.atleast_2d(np.asarray(rhs_columns, dtype=float))
+        order = self.order
+        out = np.zeros((rhs_columns.shape[0], self.matrix.shape[0]))
+        for f, u in zip(rhs_columns, out):
+            u[self.fixed_dofs] = fixed_values
+            b = (f - self.matrix @ u)[order]
+            scale = np.linalg.norm(b)
+            u[order] = self._backsolve(b)
+            for passes in range(7):
+                r = (f - self.matrix @ u)[order]
+                resid = np.linalg.norm(r)
+                rel = resid / scale if scale > 0.0 else resid
+                if rel <= tol or passes == 6:
+                    break
+                u[order] += self._backsolve(r)
+            if not rel <= tol:  # also catches NaN
+                raise SolverFailure(
+                    f"linear solve residual {rel:.3e} exceeds tol {tol:.1e}",
+                    residual=float(rel),
+                )
+        return out
+
+    def _backsolve(self, b: np.ndarray) -> np.ndarray:
+        return cho_solve_banded((self.cholesky, False), b, check_finite=False)
+
+
+def _band_positions(order: np.ndarray, rows: np.ndarray, cols: np.ndarray, n: int):
+    """Band position of every DOF under ``order`` and the bandwidth it gives
+    for the (symmetric) free-free entries ``rows``, ``cols``."""
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(order.size)
+    width = int((pos[cols] - pos[rows]).max(initial=0))
+    return pos, width
+
+
+def factorize(matrix: sp.csr_array, fixed_dofs: np.ndarray) -> Factor:
+    """Cholesky-factor the free block of ``matrix`` once, for many solves.
+
+    The free block (rows and columns not in ``fixed_dofs``) must be
+    symmetric positive definite; only its upper triangle is read. It is
+    stored as a band and factored by LAPACK ``pbtrf`` via
+    ``scipy.linalg.cholesky_banded``. The band follows the natural DOF
+    numbering, which is column-major on the grid and so gives a bandwidth of
+    about twice the nodes per column, unless a reverse Cuthill-McKee ordering
+    of the matrix graph gives a narrower band; that happens on the periodic
+    cell, whose wrap-around couples the first and last columns. A block that
+    is not positive definite raises SolverFailure.
+    """
+    a = sp.csr_array(matrix)
+    a.sum_duplicates()  # the band scatter below keeps one value per entry
+    n = a.shape[0]
+    fixed_dofs = np.asarray(fixed_dofs, dtype=np.int64)
+    if fixed_dofs.size == 0:
+        raise ValueError("at least one constrained DOF is required")
+    free = np.ones(n, dtype=bool)
+    free[fixed_dofs] = False
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    keep = free[rows] & free[a.indices]
+    rows, cols, vals = rows[keep], a.indices[keep], a.data[keep]
+
+    order = np.flatnonzero(free)
+    pos, width = _band_positions(order, rows, cols, n)
+    rcm = reverse_cuthill_mckee(a, symmetric_mode=True)
+    rcm = rcm[free[rcm]]
+    pos_rcm, width_rcm = _band_positions(rcm, rows, cols, n)
+    if width_rcm < width:
+        order, pos, width = rcm, pos_rcm, width_rcm
+
+    i, j = pos[rows], pos[cols]
+    upper = i <= j
+    j = j[upper]
+    # Fortran order lets LAPACK factor the band in place instead of copying it
+    band = np.zeros((width + 1, order.size), order="F")
+    band[width + i[upper] - j, j] = vals[upper]
+    try:
+        chol = cholesky_banded(band, overwrite_ab=True, lower=False, check_finite=False)
+    except LinAlgError as exc:
+        raise SolverFailure(f"free block is not positive definite: {exc}") from exc
+    return Factor(a, fixed_dofs, order, chol)
+
+
 def solve_many(
     matrix: sp.csr_array,
     rhs_columns: np.ndarray,
@@ -230,58 +347,21 @@ def solve_many(
 ) -> np.ndarray:
     """Direct solve of K u = f for one or more right-hand sides.
 
-    Dirichlet DOFs are eliminated, the free block is factorized once, and each
-    solution is iteratively refined until its relative residual meets ``tol``
-    (bounded pass count; badly scaled SIMP systems need a few). Raises
-    SolverFailure (with the residual attached) when refinement stalls short.
+    Dirichlet DOFs are eliminated and the free block, which must be
+    symmetric positive definite, is factored once by banded Cholesky in the
+    natural DOF order or, when narrower, a reverse Cuthill-McKee order (see
+    factorize). Each solution is then refined until its relative residual
+    meets ``tol`` (see Factor.solve). Raises SolverFailure, with the residual
+    attached when there is one, when refinement stalls short or the block is
+    not positive definite.
     """
-    n = matrix.shape[0]
-    fixed_dofs = np.asarray(fixed_dofs, dtype=np.int64)
-    if fixed_dofs.size == 0:
-        raise ValueError("at least one constrained DOF is required")
-    if fixed_values is None:
-        fixed_values = np.zeros(fixed_dofs.size)
-    rhs_columns = np.atleast_2d(np.asarray(rhs_columns, dtype=float))
-    mask = np.ones(n, dtype=bool)
-    mask[fixed_dofs] = False
-    free = np.flatnonzero(mask)
-
-    a_csc = sp.csc_array(matrix)
-    a_ff = a_csc[free][:, free]
-    a_fd = a_csc[free][:, fixed_dofs]
-    lu = spla.splu(sp.csc_matrix(a_ff))
-
-    out = np.empty((rhs_columns.shape[0], n))
-    lift = a_fd @ fixed_values
-    for i, f in enumerate(rhs_columns):
-        b = f[free] - lift
-        u_f = lu.solve(b)
-        scale = np.linalg.norm(b)
-        for _ in range(6):
-            r = b - a_ff @ u_f
-            resid = np.linalg.norm(r)
-            rel = resid / scale if scale > 0.0 else resid
-            if np.isfinite(rel) and rel <= tol:
-                break
-            u_f = u_f + lu.solve(r)
-        else:
-            r = b - a_ff @ u_f
-            resid = np.linalg.norm(r)
-            rel = resid / scale if scale > 0.0 else resid
-        if not np.isfinite(rel) or rel > tol:
-            raise SolverFailure(
-                f"linear solve residual {rel:.3e} exceeds tol {tol:.1e}",
-                residual=float(rel),
-            )
-        u = np.zeros(n)
-        u[fixed_dofs] = fixed_values
-        u[free] = u_f
-        out[i] = u
-    return out
+    return factorize(matrix, fixed_dofs).solve(rhs_columns, fixed_values, tol)
 
 
 def solve_spd(system: LinearSystem, tol: float = 1e-8) -> np.ndarray:
-    """Solve one eliminated Dirichlet system; see solve_many for the contract."""
+    """Solve one eliminated Dirichlet system whose free block is symmetric
+    positive definite, by banded Cholesky in the natural DOF order or, when
+    narrower, a reverse Cuthill-McKee order; see solve_many for the contract."""
     return solve_many(
         system.matrix,
         system.rhs[None, :],

@@ -18,6 +18,7 @@ import scipy.sparse as sp
 
 from .fem import (
     DensityField,
+    Factor,
     Grid,
     LinearSystem,
     Material,
@@ -25,6 +26,7 @@ from .fem import (
     compliance,
     element_nodes,
     element_stiffness,
+    factorize,
     solve_many,
     solve_spd,
 )
@@ -196,13 +198,16 @@ def arch_sensitivities(
     rho: DensityField,
     cfg: PressureConfig,
     ce: np.ndarray | None = None,
+    darcy: Factor | None = None,
 ) -> np.ndarray:
     """d(compliance)/d(rho) with design-dependent loads.
 
     Stiffness part is the usual -penal rho^(p-1) (e0 - emin) ce. The load
     part solves the adjoint A mu = T^T (2u) on the pressure-free nodes and
     adds mu^T (dA/drho_e) p per element; lst=0 drops it (frozen-load
-    approximation).
+    approximation). The adjoint has the pressure problem's matrix and
+    Dirichlet nodes, so ``darcy``, the factor that solved for ``p``, is
+    reused when given; otherwise the Darcy matrix is assembled and factored.
     """
     grid = rho.grid
     mat = cfg.material
@@ -210,10 +215,11 @@ def arch_sensitivities(
         _, ce = compliance(u, rho, cfg.penal, mat)
     dc = -cfg.penal * rho.values ** (cfg.penal - 1.0) * (mat.e0 - mat.emin) * ce
     if cfg.lst:
-        a = assemble_darcy(rho, cfg)
-        fixed, _ = pressure_boundary(grid, cfg.p0)
+        if darcy is None:
+            fixed, _ = pressure_boundary(grid, cfg.p0)
+            darcy = factorize(assemble_darcy(rho, cfg), fixed)
         rhs = pressure_to_loads_transpose(2.0 * u, grid)
-        mu = solve_many(a, rhs[None, :], fixed, np.zeros(fixed.size))[0]
+        mu = darcy.solve(rhs[None, :])[0]
         _, dh = smooth_heaviside(rho.values, cfg.etaf, cfg.betaf)
         dk = -cfg.kmax * (1.0 - cfg.eps_k) * dh
         dd = cfg.drainage * dh
@@ -248,6 +254,7 @@ def solve_arch(cfg: PressureConfig) -> OptResult:
     ke = element_stiffness(mat)
     kernel = build_filter(grid, cfg.rmin)
     supports = arch_supports(cfg)
+    pressure_fixed, pressure_values = pressure_boundary(grid, cfg.p0)
     n = grid.n_elements
 
     rho = np.full(n, cfg.vf)
@@ -255,13 +262,13 @@ def solve_arch(cfg: PressureConfig) -> OptResult:
     history: list[tuple[float, float]] = []
     for it in range(1, cfg.maxit + 1):
         rho_field = DensityField(grid, rho)
-        a = assemble_darcy(rho_field, cfg)
-        p = solve_pressure(a, grid, cfg.p0)
+        darcy = factorize(assemble_darcy(rho_field, cfg), pressure_fixed)
+        p = darcy.solve(np.zeros((1, grid.n_nodes)), pressure_values)[0]
         f = pressure_to_loads(p, grid)
         k = assemble_stiffness(rho_field, cfg.penal, mat, ke)
         u = solve_spd(LinearSystem(k, f, supports))
         c, ce = compliance(u, rho_field, cfg.penal, mat, ke)
-        dc = arch_sensitivities(u, p, rho_field, cfg, ce=ce)
+        dc = arch_sensitivities(u, p, rho_field, cfg, ce=ce, darcy=darcy)
         dc = sensitivity_filter(rho, dc, kernel)
         g = float(rho.mean() / cfg.vf - 1.0)
         dg = np.full(n, 1.0 / (n * cfg.vf))

@@ -119,6 +119,12 @@ class TestFingerprint:
         )
         assert ds.config_fingerprint("micro", base) != ds.config_fingerprint("other", base)
 
+    def test_sensitive_to_solver_revision(self, monkeypatch):
+        cfg = MicroConfig(nelx=8, nely=8)
+        current = ds.config_fingerprint("micro", cfg)
+        monkeypatch.setattr(ds, "SOLVER_REVISION", "older-solver")
+        assert ds.config_fingerprint("micro", cfg) != current
+
 
 class TestManifest:
     def make_records(self, fp="f" * 8):
@@ -248,6 +254,35 @@ class TestGenerate:
         changed = TinyCfg.make(penal=3.5)
         ds.generate_dataset("cantilever", changed, out, vf_start=0.3, vf_stop=0.3, vf_step=0.1)
         assert calls == [0.3]  # fingerprint mismatch forces a re-solve
+
+    def test_old_solver_revision_invalidates_resume(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "data")
+        cfg = TinyCfg.make()
+        with monkeypatch.context() as m:
+            m.setattr(ds, "SOLVER_REVISION", "older-solver")
+            ds.generate_dataset("cantilever", cfg, out, vf_start=0.3, vf_stop=0.5, vf_step=0.1)
+
+        calls = []
+        real_solver = ds.PROBLEMS["cantilever"][1]
+
+        def counting(c):
+            calls.append(c.vf)
+            return real_solver(c)
+
+        monkeypatch.setitem(ds.PROBLEMS, "cantilever", (CantileverConfig, counting))
+        recs = ds.generate_dataset("cantilever", cfg, out, vf_start=0.3, vf_stop=0.5, vf_step=0.1)
+        assert calls == [0.3, 0.4, 0.5]
+        assert {r.fingerprint for r in recs} == {ds.config_fingerprint("cantilever", cfg)}
+
+    def test_noop_resume_leaves_manifest_untouched(self, tmp_path):
+        out = str(tmp_path / "data")
+        cfg = TinyCfg.make()
+        ds.generate_dataset("cantilever", cfg, out, vf_start=0.3, vf_stop=0.4, vf_step=0.1)
+        path = os.path.join(out, "manifest.jsonl")
+        before = os.stat(path)
+        ds.generate_dataset("cantilever", cfg, out, vf_start=0.3, vf_stop=0.4, vf_step=0.1)
+        after = os.stat(path)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
     def test_deleted_file_invalidates_resume(self, tmp_path):
         out = str(tmp_path / "data")

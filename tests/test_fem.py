@@ -1,8 +1,14 @@
 """Element matrices, assembly, and the eliminated direct solve."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+
+import toacnn
 
 from toacnn.errors import SolverFailure
 from toacnn.fem import (
@@ -15,10 +21,13 @@ from toacnn.fem import (
     edof_matrix,
     element_nodes,
     element_stiffness,
+    factorize,
     simp_moduli,
     solve_many,
     solve_spd,
 )
+from toacnn.microstructure import _periodic_edof
+from toacnn.pressure import PressureConfig, assemble_darcy, pressure_boundary
 
 
 def closed_form_ke(nu):
@@ -243,6 +252,115 @@ class TestSolve:
         u1 = solve_spd(LinearSystem(k, f2, fixed))
         assert np.array_equal(u[0], u0)
         assert np.array_equal(u[1], u1)
+
+
+def dense_eliminated_solve(k, f, fixed, values):
+    """Reference: dense solve of the free block with the lifted right-hand side."""
+    kd = k.toarray()
+    free = np.setdiff1d(np.arange(kd.shape[0]), fixed)
+    u = np.zeros(kd.shape[0])
+    u[fixed] = values
+    u[free] = np.linalg.solve(kd[np.ix_(free, free)], f[free] - kd[np.ix_(free, fixed)] @ values)
+    return u
+
+
+def periodic_stiffness(rho, penal, mat):
+    """Reduced periodic-cell stiffness, assembled the way homogenize does."""
+    grid = rho.grid
+    edof = _periodic_edof(grid.nelx, grid.nely)
+    n = 2 * grid.n_elements
+    data = (simp_moduli(rho.values, penal, mat)[:, None, None] * element_stiffness(mat)).ravel()
+    k = sp.coo_array(
+        (data, (np.repeat(edof, 8, axis=1).ravel(), np.tile(edof, (1, 8)).ravel())), shape=(n, n)
+    ).tocsr()
+    return ((k + k.T) * 0.5).tocsr()
+
+
+class TestFactor:
+    def test_darcy_block_in_natural_order_matches_dense(self):
+        cfg = PressureConfig(nelx=9, nely=7)
+        rng = np.random.default_rng(5)
+        rho = DensityField(cfg.grid, rng.uniform(0.0, 1.0, cfg.grid.n_elements))
+        a = assemble_darcy(rho, cfg)
+        fixed, values = pressure_boundary(cfg.grid, cfg.p0)
+        f = rng.standard_normal(cfg.grid.n_nodes)
+        factor = factorize(a, fixed)
+        assert np.array_equal(factor.order, np.setdiff1d(np.arange(cfg.grid.n_nodes), fixed))
+        u = factor.solve(f, values)[0]
+        uref = dense_eliminated_solve(a, f, fixed, values)
+        assert np.linalg.norm(u - uref) <= 1e-8 * np.linalg.norm(uref)
+
+    def test_periodic_block_takes_narrower_rcm_band_and_matches_dense(self):
+        g = Grid(10, 8)
+        rng = np.random.default_rng(6)
+        rho = DensityField(g, rng.uniform(0.1, 1.0, g.n_elements))
+        k = periodic_stiffness(rho, 3.0, Material())
+        fixed = np.array([0, 1])
+        factor = factorize(k, fixed)
+        free = np.arange(2, k.shape[0])
+        natural = int(max(abs(r - c) for r, c in zip(*k.nonzero()) if r >= 2 and c >= 2))
+        assert not np.array_equal(factor.order, free)
+        assert np.array_equal(np.sort(factor.order), free)
+        assert factor.bandwidth < natural
+        f = rng.standard_normal((3, k.shape[0]))
+        u = factor.solve(f)
+        for i in range(3):
+            uref = dense_eliminated_solve(k, f[i], fixed, np.zeros(2))
+            assert np.linalg.norm(u[i] - uref) <= 1e-8 * np.linalg.norm(uref)
+
+    def test_reused_factor_matches_separate_solves_bitwise(self):
+        rng = np.random.default_rng(8)
+        g = Grid(6, 5)
+        rho = DensityField(g, rng.uniform(0.05, 1.0, g.n_elements))
+        k = assemble_stiffness(rho, 3.0, Material())
+        fixed = np.arange(2 * (g.nely + 1))
+        f1, f2 = rng.standard_normal((2, g.n_dofs))
+        values = rng.standard_normal(fixed.size)
+        factor = factorize(k, fixed)
+        u1 = factor.solve(f1, values)
+        u2 = factor.solve(f2)
+        assert np.array_equal(u1, solve_many(k, f1, fixed, values))
+        assert np.array_equal(u2, solve_many(k, f2, fixed))
+
+    def test_indefinite_block_raises_solver_failure(self):
+        g, k, f, fixed = cantilever_1x1()
+        with pytest.raises(SolverFailure, match="positive definite"):
+            solve_spd(LinearSystem(-k, f, fixed))
+        with pytest.raises(SolverFailure):
+            factorize(-k, fixed)
+
+
+_THREAD_PROBE = """
+import hashlib
+
+from toacnn.cantilever import CantileverConfig, solve_cantilever
+from toacnn.microstructure import MicroConfig, solve_micro
+from toacnn.pressure import PressureConfig, solve_arch
+
+runs = [
+    solve_cantilever(CantileverConfig(nelx=100, nely=100, max_iters=2)),
+    solve_arch(PressureConfig(nelx=40, nely=40, vf=0.3, maxit=4)),
+    solve_micro(MicroConfig(nelx=40, nely=40, max_iters=3)),
+]
+for r in runs:
+    print(hashlib.sha256(r.field.values.tobytes()).hexdigest(), repr(r.objective))
+"""
+
+
+def test_results_do_not_depend_on_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toacnn.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs[0] == outputs[1]
 
 
 class TestCompliance:

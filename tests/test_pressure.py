@@ -210,6 +210,31 @@ class TestArchSolve:
         assert np.array_equal(a.field.values, b.field.values)
         assert a.objective == b.objective
 
+    def test_one_darcy_factor_per_iteration(self, monkeypatch):
+        import toacnn.fem as fem
+        import toacnn.pressure as pressure
+
+        calls = {"factorize": 0, "assemble_darcy": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        # the elastic solve reaches factorize through fem.solve_many
+        monkeypatch.setattr(fem, "factorize", counted("factorize", fem.factorize))
+        monkeypatch.setattr(pressure, "factorize", fem.factorize)
+        monkeypatch.setattr(
+            pressure, "assemble_darcy", counted("assemble_darcy", pressure.assemble_darcy)
+        )
+        cfg = PressureConfig(nelx=8, nely=8, vf=0.35, maxit=3, support_halfwidth=2)
+        solve_arch(cfg)
+        # per iteration: Darcy (reused by the adjoint) and elasticity; then
+        # the final re-analysis by evaluate_arch: the same two again
+        assert calls == {"factorize": 2 * 3 + 2, "assemble_darcy": 3 + 1}
+
     def test_rejects_bad_lst(self):
         with pytest.raises(ValueError):
             PressureConfig(lst=2)
