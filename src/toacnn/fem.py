@@ -17,6 +17,9 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
+import hashlib
+import mmap
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -217,9 +220,23 @@ def assemble_stiffness(
     data = (factors[:, None, None] * ke).ravel()
     rows = np.repeat(edof, 8, axis=1).ravel()
     cols = np.tile(edof, (1, 8)).ravel()
-    k = sp.coo_array((data, (rows, cols)), shape=(grid.n_dofs, grid.n_dofs)).tocsr()
-    # x + y is commutative in IEEE float, so this is symmetric to the last bit.
-    return ((k + k.T) * 0.5).tocsr()
+    return symmetrize(sp.coo_array((data, (rows, cols)), shape=(grid.n_dofs, grid.n_dofs)))
+
+
+def symmetrize(a: sp.sparray) -> sp.csr_array:
+    """(a + a^T) / 2 of an assembled matrix, on a's own sparsity pattern.
+
+    The pattern must be symmetric, as every element assembly's is. Sparse
+    addition would drop entries that cancel to exactly zero, which uniform
+    or bound-saturated densities produce, so the pattern would follow the
+    values; kept on a's pattern it follows the mesh alone, and factorize
+    reuses one band layout across an optimizer's iterations. x + y is
+    commutative in IEEE float, so the result is symmetric to the last bit.
+    """
+    a = sp.csr_array(a)
+    a.sum_duplicates()
+    at = sp.csr_array(a.T)  # same pattern, sorted indices: entries line up
+    return sp.csr_array(((a.data + at.data) * 0.5, a.indices, a.indptr), shape=a.shape)
 
 
 @dataclass(frozen=True)
@@ -292,6 +309,84 @@ def _band_positions(order: np.ndarray, rows: np.ndarray, cols: np.ndarray, n: in
     return pos, width
 
 
+@dataclass(frozen=True)
+class _BandLayout:
+    """Where a sparsity pattern's free block goes in a band: ``order`` lists
+    the free DOFs in band order, and the stored entries ``entries`` (indices
+    into the CSR data) land at the flat Fortran-order positions ``slots`` of
+    the ``(width + 1, order.size)`` upper band."""
+
+    order: np.ndarray
+    width: int
+    entries: np.ndarray
+    slots: np.ndarray
+
+
+# Band layouts by SHA-1 of their Dirichlet set and CSR pattern, oldest first.
+_LAYOUTS: dict[bytes, _BandLayout] = {}
+_LAYOUTS_LOCK = threading.Lock()
+_LAYOUTS_KEPT = 8
+
+
+def _band_layout(fixed_dofs: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> _BandLayout:
+    """Band layout of an int64 CSR pattern with Dirichlet DOFs ``fixed_dofs``,
+    built on its first factorization and then reused. An optimizer's
+    matrices keep one pattern, which follows the mesh (see symmetrize), so
+    the band order is chosen once per pattern, not once per factor."""
+    digest = hashlib.sha1(np.array([fixed_dofs.size, indptr.size, indices.size]))
+    for part in (fixed_dofs, indptr, indices):
+        digest.update(part)
+    key = digest.digest()
+    with _LAYOUTS_LOCK:
+        layout = _LAYOUTS.get(key)
+    if layout is None:
+        layout = _build_band_layout(fixed_dofs, indptr, indices)
+        with _LAYOUTS_LOCK:
+            _LAYOUTS[key] = layout
+            if len(_LAYOUTS) > _LAYOUTS_KEPT:
+                del _LAYOUTS[next(iter(_LAYOUTS))]
+    return layout
+
+
+def _off_heap(x: np.ndarray) -> np.ndarray:
+    """Read-only copy of ``x`` in its own anonymous memory map. A cached
+    layout outlives the temporaries of the factorization that built it; in
+    the malloc heap it would sit above them and keep their freed pages
+    resident (about 80 MB at 100x100)."""
+    out = np.frombuffer(mmap.mmap(-1, max(x.nbytes, 1)), dtype=x.dtype, count=x.size)
+    out[:] = x
+    out.flags.writeable = False
+    return out
+
+
+def _build_band_layout(
+    fixed_dofs: np.ndarray, indptr: np.ndarray, indices: np.ndarray
+) -> _BandLayout:
+    """The natural DOF order unless reverse Cuthill-McKee gives a narrower
+    band, and where each stored free-free upper entry lands in that band."""
+    n = indptr.size - 1
+    free = np.ones(n, dtype=bool)
+    free[fixed_dofs] = False
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    entries = np.flatnonzero(free[rows] & free[indices])
+    rows, cols = rows[entries], indices[entries]
+
+    order = np.flatnonzero(free)
+    pos, width = _band_positions(order, rows, cols, n)
+    graph = sp.csr_array((np.ones(indices.size), indices, indptr), shape=(n, n))
+    rcm = reverse_cuthill_mckee(graph, symmetric_mode=True)
+    rcm = rcm[free[rcm]]
+    pos_rcm, width_rcm = _band_positions(rcm, rows, cols, n)
+    if width_rcm < width:
+        order, pos, width = rcm, pos_rcm, width_rcm
+
+    i, j = pos[rows], pos[cols]
+    upper = i <= j
+    i, j = i[upper], j[upper]
+    slots = width + i - j + (width + 1) * j
+    return _BandLayout(_off_heap(order), width, _off_heap(entries[upper]), _off_heap(slots))
+
+
 def factorize(matrix: sp.csr_array, fixed_dofs: np.ndarray) -> Factor:
     """Cholesky-factor the free block of ``matrix`` once, for many solves.
 
@@ -302,40 +397,27 @@ def factorize(matrix: sp.csr_array, fixed_dofs: np.ndarray) -> Factor:
     numbering, which is column-major on the grid and so gives a bandwidth of
     about twice the nodes per column, unless a reverse Cuthill-McKee ordering
     of the matrix graph gives a narrower band; that happens on the periodic
-    cell, whose wrap-around couples the first and last columns. A block that
-    is not positive definite raises SolverFailure.
+    cell, whose wrap-around couples the first and last columns. The choice
+    is made once per sparsity pattern and Dirichlet set and then reused. A
+    block that is not positive definite raises SolverFailure.
     """
     a = sp.csr_array(matrix)
     a.sum_duplicates()  # the band scatter below keeps one value per entry
-    n = a.shape[0]
-    fixed_dofs = np.asarray(fixed_dofs, dtype=np.int64)
+    fixed_dofs = np.ascontiguousarray(fixed_dofs, dtype=np.int64)
     if fixed_dofs.size == 0:
         raise ValueError("at least one constrained DOF is required")
-    free = np.ones(n, dtype=bool)
-    free[fixed_dofs] = False
-    rows = np.repeat(np.arange(n), np.diff(a.indptr))
-    keep = free[rows] & free[a.indices]
-    rows, cols, vals = rows[keep], a.indices[keep], a.data[keep]
-
-    order = np.flatnonzero(free)
-    pos, width = _band_positions(order, rows, cols, n)
-    rcm = reverse_cuthill_mckee(a, symmetric_mode=True)
-    rcm = rcm[free[rcm]]
-    pos_rcm, width_rcm = _band_positions(rcm, rows, cols, n)
-    if width_rcm < width:
-        order, pos, width = rcm, pos_rcm, width_rcm
-
-    i, j = pos[rows], pos[cols]
-    upper = i <= j
-    j = j[upper]
+    layout = _band_layout(
+        fixed_dofs, a.indptr.astype(np.int64, copy=False), a.indices.astype(np.int64, copy=False)
+    )
     # Fortran order lets LAPACK factor the band in place instead of copying it
-    band = np.zeros((width + 1, order.size), order="F")
-    band[width + i[upper] - j, j] = vals[upper]
+    band = np.zeros((layout.width + 1) * layout.order.size)
+    band[layout.slots] = a.data[layout.entries]
+    band = band.reshape((layout.width + 1, layout.order.size), order="F")
     try:
         chol = cholesky_banded(band, overwrite_ab=True, lower=False, check_finite=False)
     except LinAlgError as exc:
         raise SolverFailure(f"free block is not positive definite: {exc}") from exc
-    return Factor(a, fixed_dofs, order, chol)
+    return Factor(a, fixed_dofs, layout.order, chol)
 
 
 def solve_many(

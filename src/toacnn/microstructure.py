@@ -25,6 +25,7 @@ from .fem import (
     element_stiffness,
     simp_moduli,
     solve_many,
+    symmetrize,
 )
 from .optimize import OptResult, build_filter, oc_update, sensitivity_filter
 
@@ -81,8 +82,7 @@ def homogenize(
     data = (moduli[:, None, None] * ke).ravel()
     rows = np.repeat(edof_red, 8, axis=1).ravel()
     cols = np.tile(edof_red, (1, 8)).ravel()
-    k_red = sp.coo_array((data, (rows, cols)), shape=(n_red, n_red)).tocsr()
-    k_red = ((k_red + k_red.T) * 0.5).tocsr()
+    k_red = symmetrize(sp.coo_array((data, (rows, cols)), shape=(n_red, n_red)))
 
     ustar = unit_strain_fields(grid)
     rhs = np.zeros((3, n_red))

@@ -27,8 +27,9 @@ from .fem import (
     element_nodes,
     element_stiffness,
     factorize,
-    solve_many,
+    solve_many,  # noqa: F401  (re-exported: the benchmark tracer wraps it here)
     solve_spd,
+    symmetrize,
 )
 from .optimize import (
     MmaState,
@@ -136,8 +137,7 @@ def assemble_darcy(rho: DensityField, cfg: PressureConfig) -> sp.csr_array:
     data = (k[:, None, None] * _LAPLACE + d[:, None, None] * _MASS).ravel()
     rows = np.repeat(nodes, 4, axis=1).ravel()
     cols = np.tile(nodes, (1, 4)).ravel()
-    a = sp.coo_array((data, (rows, cols)), shape=(grid.n_nodes, grid.n_nodes)).tocsr()
-    return ((a + a.T) * 0.5).tocsr()
+    return symmetrize(sp.coo_array((data, (rows, cols)), shape=(grid.n_nodes, grid.n_nodes)))
 
 
 def pressure_boundary(grid: Grid, p0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -151,10 +151,24 @@ def pressure_boundary(grid: Grid, p0: float) -> tuple[np.ndarray, np.ndarray]:
     return fixed, values
 
 
-def solve_pressure(a: sp.csr_array, grid: Grid, p0: float) -> np.ndarray:
-    """Nodal pressure field for the two-edge Dirichlet problem."""
-    fixed, values = pressure_boundary(grid, p0)
-    return solve_many(a, np.zeros((1, grid.n_nodes)), fixed, values)[0]
+def pressure_factor(a: sp.csr_array, grid: Grid) -> Factor:
+    """Darcy matrix ``a`` factored on its pressure-free nodes. The pressure
+    solve and the load adjoint have the same matrix and Dirichlet nodes, so
+    one factor serves both."""
+    fixed, _ = pressure_boundary(grid, 0.0)
+    return factorize(a, fixed)
+
+
+def solve_pressure(
+    a: sp.csr_array, grid: Grid, p0: float, factor: Factor | None = None
+) -> np.ndarray:
+    """Nodal pressure field for the two-edge Dirichlet problem; ``factor``,
+    the pressure_factor of ``a`` when the caller has it, saves factoring
+    ``a`` again."""
+    if factor is None:
+        factor = pressure_factor(a, grid)
+    _, values = pressure_boundary(grid, p0)
+    return factor.solve(np.zeros((1, grid.n_nodes)), values)[0]
 
 
 def pressure_to_loads(p: np.ndarray, grid: Grid) -> np.ndarray:
@@ -216,8 +230,7 @@ def arch_sensitivities(
     dc = -cfg.penal * rho.values ** (cfg.penal - 1.0) * (mat.e0 - mat.emin) * ce
     if cfg.lst:
         if darcy is None:
-            fixed, _ = pressure_boundary(grid, cfg.p0)
-            darcy = factorize(assemble_darcy(rho, cfg), fixed)
+            darcy = pressure_factor(assemble_darcy(rho, cfg), grid)
         rhs = pressure_to_loads_transpose(2.0 * u, grid)
         mu = darcy.solve(rhs[None, :])[0]
         _, dh = smooth_heaviside(rho.values, cfg.etaf, cfg.betaf)
@@ -254,7 +267,6 @@ def solve_arch(cfg: PressureConfig) -> OptResult:
     ke = element_stiffness(mat)
     kernel = build_filter(grid, cfg.rmin)
     supports = arch_supports(cfg)
-    pressure_fixed, pressure_values = pressure_boundary(grid, cfg.p0)
     n = grid.n_elements
 
     rho = np.full(n, cfg.vf)
@@ -262,8 +274,9 @@ def solve_arch(cfg: PressureConfig) -> OptResult:
     history: list[tuple[float, float]] = []
     for it in range(1, cfg.maxit + 1):
         rho_field = DensityField(grid, rho)
-        darcy = factorize(assemble_darcy(rho_field, cfg), pressure_fixed)
-        p = darcy.solve(np.zeros((1, grid.n_nodes)), pressure_values)[0]
+        a = assemble_darcy(rho_field, cfg)
+        darcy = pressure_factor(a, grid)
+        p = solve_pressure(a, grid, cfg.p0, darcy)
         f = pressure_to_loads(p, grid)
         k = assemble_stiffness(rho_field, cfg.penal, mat, ke)
         u = solve_spd(LinearSystem(k, f, supports))

@@ -329,6 +329,98 @@ class TestFactor:
         with pytest.raises(SolverFailure):
             factorize(-k, fixed)
 
+    def test_ordering_is_chosen_once_per_pattern(self, monkeypatch):
+        import toacnn.fem as fem
+
+        rcm = fem.reverse_cuthill_mckee
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return rcm(*args, **kwargs)
+
+        fem._LAYOUTS.clear()
+        monkeypatch.setattr(fem, "reverse_cuthill_mckee", counted)
+        rng = np.random.default_rng(9)
+        g = Grid(7, 6)
+        fixed = np.arange(2 * (g.nely + 1))
+        # a uniform field makes some assembled entries cancel to exactly zero;
+        # they stay in the pattern, so both matrices share one band layout
+        fields = [
+            DensityField(g, np.full(g.n_elements, 0.5)),
+            DensityField(g, rng.uniform(0.05, 1.0, g.n_elements)),
+        ]
+        mats = [assemble_stiffness(rho, 3.0, Material()) for rho in fields]
+        assert np.count_nonzero(mats[0].data) < mats[0].nnz == mats[1].nnz
+        warm = [factorize(k, fixed) for k in mats]
+        assert len(calls) == 1  # same pattern and Dirichlet set: one choice
+        factorize(mats[0], fixed[:-1])
+        assert len(calls) == 2  # a different Dirichlet set is a different block
+        fem._LAYOUTS.clear()
+        cold = factorize(mats[1], fixed)
+        assert np.array_equal(cold.order, warm[1].order)
+        assert np.array_equal(cold.cholesky, warm[1].cholesky)
+
+    def test_layout_cache_under_concurrent_factorizations(self):
+        import threading
+
+        import toacnn.fem as fem
+
+        rng = np.random.default_rng(10)
+        cases = []
+        for nelx in range(3, 15):  # more patterns than the cache keeps
+            g = Grid(nelx, 3)
+            rho = DensityField(g, rng.uniform(0.1, 1.0, g.n_elements))
+            k = assemble_stiffness(rho, 3.0, Material())
+            fixed = np.arange(2 * (g.nely + 1))
+            f = rng.standard_normal(g.n_dofs)
+            cases.append((k, fixed, f, solve_many(k, f, fixed)))
+        errors = []
+
+        def worker(offset):
+            try:
+                for i in range(4 * len(cases)):
+                    k, fixed, f, ref = cases[(i + offset) % len(cases)]
+                    if not np.array_equal(factorize(k, fixed).solve(f), ref):
+                        errors.append(f"case {(i + offset) % len(cases)} differs")
+            except Exception as exc:  # reported below with the case
+                errors.append(repr(exc))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(fem._LAYOUTS) <= fem._LAYOUTS_KEPT
+
+    @pytest.mark.parametrize("problem", ["cantilever", "micro"])
+    def test_one_factorization_per_iteration(self, problem, monkeypatch):
+        import toacnn.fem as fem
+        from toacnn.cantilever import CantileverConfig, solve_cantilever
+        from toacnn.microstructure import MicroConfig, solve_micro
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return factorize(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "factorize", counted)
+        if problem == "cantilever":
+            res = solve_cantilever(CantileverConfig(nelx=12, nely=6, max_iters=3))
+        else:
+            res = solve_micro(MicroConfig(nelx=8, nely=8, max_iters=3))
+        # one per iteration, then one for the final re-analysis
+        assert res.iterations == 3
+        assert len(calls) == res.iterations + 1
+
 
 _THREAD_PROBE = """
 import hashlib
