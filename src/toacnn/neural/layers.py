@@ -4,39 +4,69 @@ Each forward returns (output, cache); the matching backward takes (cache,
 upstream gradient) and returns the input gradient plus parameter gradients
 where the layer has any. Data layout is channels-last: (H, W, C) activations,
 (kh, kw, Cin, Cout) kernels, (in, out) dense weights.
+
+Every convolution is one BLAS matrix product (GEMM) over the H*W pixel rows
+instead of a sliding-window einsum:
+
+- ``conv2d``: the forward copies the kh*kw shifted views of the padded input
+  into one (H*W, kh*kw*Cin) column matrix (im2col) and multiplies it by the
+  kernels read as a (kh*kw*Cin, Cout) matrix. The cache is (column matrix,
+  kernels). The backward gets the kernel gradient as columnsᵀ @ d. The input
+  gradient is the same-size convolution of d with the kernels flipped in
+  space and with Cin and Cout swapped: a column matrix of d times a
+  (kh*kw*Cout, Cin) matrix.
+- ``tconv``: stride equals kernel size f, so every input pixel owns one
+  disjoint f-by-f output block. The forward is one (f*f*Cout, Cin) @
+  (Cin, H*W) product followed by a block transpose. The cache is (input,
+  kernels). The backward regroups the output gradient as a (f*f*Cout, H*W)
+  matrix; the kernel gradient is that matrix @ the (H*W, Cin) input, and the
+  input gradient is the (Cin, f*f*Cout) kernels @ that matrix.
+- ``maxpool``: the forward is a max over a (H/s, s, W/s, s, C) view. The cache
+  is (input, output, size); the backward routes each gradient to the first
+  maximum of its window in row-major order.
+
+Each product sums over its indices in the order numpy's einsum uses for the
+direct formulas (kept as reference kernels in tests/test_neural_layers.py),
+and the transposed-conv products also keep einsum's operand order, which the
+small profile's shapes need. With one numpy and BLAS build the two forms then
+agree bit for bit on both network profiles, so a trained checkpoint is the
+same whichever computed it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+
+
+def _im2col(x, kh, kw):
+    """(H*W, kh*kw*C) column matrix of a zero-padded (H, W, C) image."""
+    h, w, c = x.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((ph, ph), (pw, pw), (0, 0)))
+    cols = np.empty((h, w, kh, kw, c), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[i : i + h, j : j + w]
+    return cols.reshape(h * w, kh * kw * c)
 
 
 def conv2d_forward(x, kernels, bias):
     """Same-size convolution, stride 1, zero padding, odd kernel."""
-    kh, kw, _, _ = kernels.shape
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((ph, ph), (pw, pw), (0, 0)))
-    win = sliding_window_view(xp, (kh, kw), axis=(0, 1))  # (H, W, Cin, kh, kw)
-    y = np.einsum("hwcij,ijco->hwo", win, kernels, optimize=True) + bias
-    return y.astype(np.float32, copy=False), (xp, kernels)
+    kh, kw, cin, cout = kernels.shape
+    h, w, _ = x.shape
+    cols = _im2col(x, kh, kw)
+    y = cols @ kernels.reshape(kh * kw * cin, cout) + bias
+    return y.reshape(h, w, cout).astype(np.float32, copy=False), (cols, kernels)
 
 
 def conv2d_backward(cache, d_out):
-    xp, kernels = cache
-    kh, kw, _, _ = kernels.shape
-    ph, pw = kh // 2, kw // 2
-    win = sliding_window_view(xp, (kh, kw), axis=(0, 1))
+    cols, kernels = cache
+    kh, kw, cin, cout = kernels.shape
+    h, w, _ = d_out.shape
     d_bias = d_out.sum(axis=(0, 1))
-    d_kernels = np.einsum("hwcij,hwo->ijco", win, d_out, optimize=True)
-    # d(x padded) is the correlation of zero-extended d_out with the
-    # spatially flipped kernels; cropping the pad margin gives dx
-    dp = np.pad(d_out, ((kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
-    dwin = sliding_window_view(dp, (kh, kw), axis=(0, 1))
-    kf = kernels[::-1, ::-1]
-    dxp = np.einsum("hwoij,ijco->hwc", dwin, kf, optimize=True)
-    h, w = xp.shape[0] - 2 * ph, xp.shape[1] - 2 * pw
-    dx = dxp[ph : ph + h, pw : pw + w]
+    d_kernels = (cols.T @ d_out.reshape(h * w, cout)).reshape(kernels.shape)
+    flipped = kernels[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * cout, cin)
+    dx = (_im2col(d_out, kh, kw) @ flipped).reshape(h, w, cin)
     return (
         dx.astype(np.float32, copy=False),
         d_kernels.astype(np.float32, copy=False),
@@ -47,26 +77,30 @@ def conv2d_backward(cache, d_out):
 def maxpool_forward(x, size):
     """Non-overlapping max pooling, stride equal to window size.
 
-    Ties resolve to the first maximum in row-major window order (argmax of
-    the flattened window), and backward routes the gradient only there.
+    Ties resolve to the first maximum in row-major window order, and backward
+    routes the gradient only there.
     """
     h, w, c = x.shape
     if h % size or w % size:
         raise ValueError(f"pool size {size} does not divide input {h}x{w}")
-    hs, ws = h // size, w // size
-    xw = x.reshape(hs, size, ws, size, c).transpose(0, 2, 1, 3, 4).reshape(hs, ws, size * size, c)
-    idx = np.argmax(xw, axis=2)
-    y = np.take_along_axis(xw, idx[:, :, None, :], axis=2)[:, :, 0, :]
-    return y, (idx, x.shape, size)
+    y = x.reshape(h // size, size, w // size, size, c).max(axis=(1, 3))
+    return y, (x, y, size)
 
 
 def maxpool_backward(cache, d_out):
-    idx, (h, w, c), size = cache
+    x, y, size = cache
+    h, w, c = x.shape
     hs, ws = h // size, w // size
-    dxw = np.zeros((hs, ws, size * size, c), dtype=np.float32)
-    np.put_along_axis(dxw, idx[:, :, None, :], d_out[:, :, None, :], axis=2)
-    dx = dxw.reshape(hs, ws, size, size, c).transpose(0, 2, 1, 3, 4).reshape(h, w, c)
-    return dx
+    hits = x.reshape(hs, size, ws, size, c) == y[:, None, :, None]
+    # keep only the first hit of each window, walking its taps in row-major order
+    taken = np.zeros((hs, ws, c), dtype=bool)
+    for i in range(size):
+        for j in range(size):
+            tap = hits[:, i, :, j]
+            tap &= ~taken
+            taken |= tap
+    dx = np.where(hits, d_out[:, None, :, None], np.float32(0.0))
+    return dx.reshape(h, w, c).astype(np.float32, copy=False)
 
 
 def dense_forward(x, weight, bias):
@@ -87,25 +121,23 @@ def tconv_forward(x, kernels, bias):
     Every input pixel expands into one disjoint f-by-f output block, so the
     output is an exact f-fold upsampling with no overlap between blocks.
     """
-    f = kernels.shape[0]
+    f, _, cin, cout = kernels.shape
     h, w, _ = x.shape
-    cout = kernels.shape[3]
-    y = np.einsum("hwc,abco->hawbo", x, kernels, optimize=True)
-    y = y.reshape(h * f, w * f, cout) + bias
-    return y.astype(np.float32, copy=False), (x, kernels)
+    taps = kernels.transpose(0, 1, 3, 2).reshape(f * f * cout, cin) @ x.reshape(h * w, cin).T
+    y = taps.reshape(f, f, cout, h, w).transpose(3, 0, 4, 1, 2).reshape(h * f, w * f, cout)
+    return (y + bias).astype(np.float32, copy=False), (x, kernels)
 
 
 def tconv_backward(cache, d_out):
     x, kernels = cache
-    f = kernels.shape[0]
+    f, _, cin, cout = kernels.shape
     h, w, _ = x.shape
-    cout = kernels.shape[3]
-    dyb = d_out.reshape(h, f, w, f, cout)
+    d = d_out.reshape(h, f, w, f, cout).transpose(1, 3, 4, 0, 2).reshape(f * f * cout, h * w)
     d_bias = d_out.sum(axis=(0, 1))
-    d_kernels = np.einsum("hwc,hawbo->abco", x, dyb, optimize=True)
-    dx = np.einsum("hawbo,abco->hwc", dyb, kernels, optimize=True)
+    d_kernels = (d @ x.reshape(h * w, cin)).reshape(f, f, cout, cin).transpose(0, 1, 3, 2)
+    dx = kernels.transpose(2, 0, 1, 3).reshape(cin, f * f * cout) @ d
     return (
-        dx.astype(np.float32, copy=False),
+        dx.T.reshape(h, w, cin).astype(np.float32, copy=False),
         d_kernels.astype(np.float32, copy=False),
         d_bias.astype(np.float32, copy=False),
     )

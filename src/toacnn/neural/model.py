@@ -2,7 +2,8 @@
 
 Parameters live in a flat list of float32 arrays in the exact order of
 ``profile.parameter_specs()``; gradients come back in the same order. The
-forward/backward walks share one op plan so the two can never drift apart.
+forward/backward walks share one op plan so the two can never drift apart,
+and the forward and the non-finite probe share one walk over that plan.
 """
 
 from __future__ import annotations
@@ -65,17 +66,9 @@ def init_params(profile: NetworkProfile, seed: int) -> list[np.ndarray]:
     return params
 
 
-def forward(
-    profile: NetworkProfile, params: list[np.ndarray], x: np.ndarray
-) -> tuple[np.ndarray, list]:
-    """Run the network; returns (output, caches) for a later backward."""
-    x = np.asarray(x, dtype=np.float32)
-    if x.shape != (profile.input_size, profile.input_size, 1):
-        raise ValueError(
-            f"expected input {(profile.input_size, profile.input_size, 1)}, got {x.shape}"
-        )
-    caches = []
-    for kind, _, p, aux in _plan(profile):
+def _walk(profile: NetworkProfile, params: list[np.ndarray], x: np.ndarray):
+    """Run the plan op by op, yielding (op name, output, cache) after each."""
+    for kind, name, p, aux in _plan(profile):
         if kind == "conv":
             x, c = conv2d_forward(x, params[p], params[p + 1])
         elif kind == "relu":
@@ -92,6 +85,20 @@ def forward(
             x = x.reshape(aux)
         else:
             x, c = tconv_forward(x, params[p], params[p + 1])
+        yield name, x, c
+
+
+def forward(
+    profile: NetworkProfile, params: list[np.ndarray], x: np.ndarray
+) -> tuple[np.ndarray, list]:
+    """Run the network; returns (output, caches) for a later backward."""
+    x = np.asarray(x, dtype=np.float32)
+    if x.shape != (profile.input_size, profile.input_size, 1):
+        raise ValueError(
+            f"expected input {(profile.input_size, profile.input_size, 1)}, got {x.shape}"
+        )
+    caches = []
+    for _, x, c in _walk(profile, params, x):
         caches.append(c)
     return x, caches
 
@@ -134,21 +141,7 @@ def first_nonfinite_layer(
     x = np.asarray(x, dtype=np.float32)
     if not np.all(np.isfinite(x)):
         return "input"
-    for kind, name, p, aux in _plan(profile):
-        if kind == "conv":
-            x, _ = conv2d_forward(x, params[p], params[p + 1])
-        elif kind == "relu":
-            x, _ = relu_forward(x)
-        elif kind == "pool":
-            x, _ = maxpool_forward(x, aux)
-        elif kind == "flatten":
-            x = x.reshape(-1)
-        elif kind == "dense":
-            x, _ = dense_forward(x, params[p], params[p + 1])
-        elif kind == "unflatten":
-            x = x.reshape(aux)
-        else:
-            x, _ = tconv_forward(x, params[p], params[p + 1])
-        if not np.all(np.isfinite(x)):
+    for name, y, _ in _walk(profile, params, x):
+        if not np.all(np.isfinite(y)):
             return name
     return None

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..dataset import make_input_image
 from ..errors import TrainingDiverged
 from ..fem import DensityField, Grid
 from .checkpoint import Checkpoint
@@ -30,6 +31,11 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be positive")
         if self.lr <= 0.0:
             raise ValueError(f"lr must be positive, got {self.lr}")
+
+
+# Elements per Adam chunk: six float32 chunks (g, m, v, p and two scratch
+# buffers) take 768 KB, which fits a core's L2 cache.
+_ADAM_CHUNK = 1 << 15
 
 
 @dataclass
@@ -57,16 +63,45 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, in place on params and state."""
+    """One bias-corrected Adam update, in place on params and state.
+
+    The update runs chunk by chunk through two scratch buffers, so each chunk
+    stays in cache through every step. Each chunk sees the float32 operations
+    of ``m = beta1 * m + (1 - beta1) * g``, ``v = beta2 * v + (1 - beta2) *
+    (g * g)`` and ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` in their
+    order, so the result is bit for bit that of these expressions, without
+    their full-size temporaries.
+    """
     state.t += 1
     c1 = 1.0 - beta1**state.t
     c2 = 1.0 - beta2**state.t
+    buf_a = np.empty(_ADAM_CHUNK, dtype=np.float32)
+    buf_b = np.empty(_ADAM_CHUNK, dtype=np.float32)
     for i, g in enumerate(grads):
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * (g * g)
-        mhat = state.m[i] / c1
-        vhat = state.v[i] / c2
-        params[i] -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(np.float32, copy=False)
+        it = np.nditer(
+            [g, state.m[i], state.v[i], params[i]],
+            flags=["external_loop", "buffered", "zerosize_ok"],
+            op_flags=[["readonly"], ["readwrite"], ["readwrite"], ["readwrite"]],
+            buffersize=_ADAM_CHUNK,
+        )
+        with it:
+            for gc, m, v, p in it:
+                a = buf_a[: gc.size]
+                b = buf_b[: gc.size]
+                np.multiply(m, beta1, out=m)
+                np.multiply(gc, 1.0 - beta1, out=a)
+                m += a
+                np.multiply(v, beta2, out=v)
+                np.multiply(gc, gc, out=a)
+                a *= 1.0 - beta2
+                v += a
+                np.divide(m, c1, out=a)
+                a *= lr
+                np.divide(v, c2, out=b)
+                np.sqrt(b, out=b)
+                b += eps
+                a /= b
+                p -= a
 
 
 def train(
@@ -135,8 +170,6 @@ def train(
 
 def infer(ck: Checkpoint, vf: float) -> DensityField:
     """Predict a design for a volume fraction; output clamped into [0, 1]."""
-    from ..dataset import make_input_image
-
     if not (0.0 < vf < 1.0):
         raise ValueError(f"vf must lie in (0, 1), got {vf}")
     side = ck.profile.input_size

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from _gradcheck import fd_grad, rel_err, scalar_fd
+from numpy.lib.stride_tricks import sliding_window_view
 
 from toacnn.neural.layers import (
     conv2d_backward,
@@ -23,6 +24,60 @@ TOL = 1e-3
 
 def rand(rng, *shape):
     return rng.uniform(-1.0, 1.0, shape).astype(np.float32)
+
+
+# Reference kernels: the direct einsum and argmax formulas of each layer,
+# written independently of the matrix-product forms under test.
+
+
+def ref_conv2d(x, kernels, bias, d_out):
+    """(y, dx, d_kernels, d_bias) of a same-size stride-1 convolution."""
+    kh, kw, _, _ = kernels.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((ph, ph), (pw, pw), (0, 0)))
+    win = sliding_window_view(xp, (kh, kw), axis=(0, 1))  # (H, W, Cin, kh, kw)
+    y = np.einsum("hwcij,ijco->hwo", win, kernels, optimize=True) + bias
+    d_kernels = np.einsum("hwcij,hwo->ijco", win, d_out, optimize=True)
+    # d(x padded) is the correlation of zero-extended d_out with the
+    # spatially flipped kernels; cropping the pad margin gives dx
+    dp = np.pad(d_out, ((kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
+    dwin = sliding_window_view(dp, (kh, kw), axis=(0, 1))
+    dxp = np.einsum("hwoij,ijco->hwc", dwin, kernels[::-1, ::-1], optimize=True)
+    dx = dxp[ph : ph + x.shape[0], pw : pw + x.shape[1]]
+    return y, dx, d_kernels, d_out.sum(axis=(0, 1))
+
+
+def ref_tconv(x, kernels, bias, d_out):
+    """(y, dx, d_kernels, d_bias) of a transposed conv with stride = kernel."""
+    f = kernels.shape[0]
+    h, w, _ = x.shape
+    cout = kernels.shape[3]
+    y = np.einsum("hwc,abco->hawbo", x, kernels, optimize=True).reshape(h * f, w * f, cout)
+    dyb = d_out.reshape(h, f, w, f, cout)
+    d_kernels = np.einsum("hwc,hawbo->abco", x, dyb, optimize=True)
+    dx = np.einsum("hawbo,abco->hwc", dyb, kernels, optimize=True)
+    return y + bias, dx, d_kernels, d_out.sum(axis=(0, 1))
+
+
+def ref_maxpool(x, size, d_out):
+    """(y, dx) of max pooling; ties go to the argmax of the flattened window."""
+    h, w, c = x.shape
+    hs, ws = h // size, w // size
+    xw = x.reshape(hs, size, ws, size, c).transpose(0, 2, 1, 3, 4).reshape(hs, ws, size * size, c)
+    idx = np.argmax(xw, axis=2)
+    y = np.take_along_axis(xw, idx[:, :, None, :], axis=2)[:, :, 0, :]
+    dxw = np.zeros((hs, ws, size * size, c), dtype=np.float32)
+    np.put_along_axis(dxw, idx[:, :, None, :], d_out[:, :, None, :], axis=2)
+    dx = dxw.reshape(hs, ws, size, size, c).transpose(0, 2, 1, 3, 4).reshape(h, w, c)
+    return y, dx
+
+
+def assert_matches(actual, reference):
+    # float32 sums in another order: rtol 1e-5, with an absolute floor of
+    # 1e-6 for entries that cancel to near zero (inputs are O(1))
+    assert actual.dtype == np.float32
+    assert actual.shape == reference.shape
+    np.testing.assert_allclose(actual, reference, rtol=1e-5, atol=1e-6)
 
 
 class TestConv:
@@ -74,6 +129,70 @@ class TestConv:
         assert rel_err(dx, fd_grad(lambda v: conv2d_forward(v, ker, b)[0], x, w)) < TOL
         assert rel_err(dk, fd_grad(lambda v: conv2d_forward(x, v, b)[0], ker, w)) < TOL
         assert rel_err(db, fd_grad(lambda v: conv2d_forward(x, ker, v)[0], b, w)) < TOL
+
+
+class TestConvOracle:
+    @pytest.mark.parametrize(
+        "h, w, cin, cout, k",
+        [
+            (5, 8, 3, 4, 3),  # H != W
+            (7, 6, 2, 3, 5),  # kh = 5
+            (6, 9, 1, 4, 3),  # Cin = 1
+            (8, 5, 3, 1, 3),  # Cout = 1
+            (9, 7, 1, 1, 5),
+            (4, 4, 5, 2, 1),
+        ],
+    )
+    def test_forward_and_backward_match_einsum(self, h, w, cin, cout, k):
+        rng = np.random.default_rng(h * 1000 + w * 100 + cin * 10 + cout + k)
+        x, ker, b = rand(rng, h, w, cin), rand(rng, k, k, cin, cout), rand(rng, cout)
+        d = rand(rng, h, w, cout)
+        y, cache = conv2d_forward(x, ker, b)
+        dx, dk, db = conv2d_backward(cache, d)
+        for actual, reference in zip((y, dx, dk, db), ref_conv2d(x, ker, b, d)):
+            assert_matches(actual, reference)
+
+
+class TestTconvOracle:
+    @pytest.mark.parametrize(
+        "h, w, cin, cout, f",
+        [
+            (3, 4, 3, 2, 2),  # H != W
+            (2, 3, 4, 3, 5),  # f = 5
+            (3, 2, 1, 3, 2),  # Cin = 1
+            (4, 3, 3, 1, 2),  # Cout = 1
+            (2, 2, 1, 1, 5),
+            (5, 5, 6, 4, 1),
+        ],
+    )
+    def test_forward_and_backward_match_einsum(self, h, w, cin, cout, f):
+        rng = np.random.default_rng(h * 1000 + w * 100 + cin * 10 + cout + f)
+        x, ker, b = rand(rng, h, w, cin), rand(rng, f, f, cin, cout), rand(rng, cout)
+        d = rand(rng, h * f, w * f, cout)
+        y, cache = tconv_forward(x, ker, b)
+        dx, dk, db = tconv_backward(cache, d)
+        for actual, reference in zip((y, dx, dk, db), ref_tconv(x, ker, b, d)):
+            assert_matches(actual, reference)
+
+
+class TestMaxPoolOracle:
+    @pytest.mark.parametrize("h, w, c, size", [(4, 6, 3, 2), (10, 20, 4, 5), (9, 6, 2, 3), (10, 10, 1, 5)])
+    def test_relu_output_with_tied_windows_matches_bitwise(self, h, w, c, size):
+        rng = np.random.default_rng(h * 100 + w * 10 + size)
+        # ReLU output: windows in odd rows and even columns are all zero, the
+        # first row holds a repeated positive value, and the rest is zero
+        # about 80% of the time
+        x = np.maximum(rand(rng, h, w, c) - 0.6, 0.0)
+        x.reshape(h // size, size, w // size, size, c)[1::2, :, ::2] = 0.0
+        x[0, :2] = 0.25
+        y, cache = maxpool_forward(x, size)
+        d = rand(rng, *y.shape)
+        dx = maxpool_backward(cache, d)
+        y_ref, dx_ref = ref_maxpool(x, size, d)
+        assert (y == 0.0).any()
+        assert y.dtype == dx.dtype == np.float32
+        assert y.tobytes() == y_ref.tobytes()
+        assert dx.tobytes() == dx_ref.tobytes()
 
 
 class TestMaxPool:

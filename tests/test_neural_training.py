@@ -1,8 +1,13 @@
 """Adam oracle, training determinism, divergence reporting, inference."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import toacnn
 from toacnn.errors import TrainingDiverged
 from toacnn.fem import DensityField
 from toacnn.neural.model import init_params
@@ -55,6 +60,36 @@ class TestAdam:
         for _ in range(400):
             adam_step(st, p, [2.0 * p[0]], lr=0.05)
         assert abs(p[0][0]) < 1e-2
+
+    def test_in_place_update_equals_expression_bitwise(self):
+        def reference_step(m, v, params, grads, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+            c1 = 1.0 - beta1**t
+            c2 = 1.0 - beta2**t
+            for i, g in enumerate(grads):
+                m[i] = beta1 * m[i] + (1.0 - beta1) * g
+                v[i] = beta2 * v[i] + (1.0 - beta2) * (g * g)
+                mhat = m[i] / c1
+                vhat = v[i] / c2
+                params[i] -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(np.float32, copy=False)
+
+        rng = np.random.default_rng(7)
+        # (300, 250) spans several update chunks
+        shapes = [(3, 3, 2, 5), (5,), (17, 4), (1,), (300, 250)]
+        params = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+        ref_params = [p.copy() for p in params]
+        ref_m = [np.zeros_like(p) for p in params]
+        ref_v = [np.zeros_like(p) for p in params]
+        st = AdamState.zeros_like(params)
+        for t in range(1, 8):
+            grads = [(rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)).astype(np.float32)
+                     for s in shapes]
+            # a transposed view, as the transposed-conv kernel gradient is
+            grads[0] = np.ascontiguousarray(grads[0].transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+            adam_step(st, params, grads, lr=3e-3)
+            reference_step(ref_m, ref_v, ref_params, grads, t, lr=3e-3)
+            for got, want in zip(params + st.m + st.v, ref_params + ref_m + ref_v):
+                assert got.dtype == np.float32
+                assert got.tobytes() == want.tobytes()
 
     def test_state_shapes_follow_params(self):
         params = init_params(PROFILE, 0)
@@ -115,6 +150,42 @@ class TestTrain:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(lr=-1.0)
+
+
+_THREAD_PROBE = """
+import hashlib
+
+import numpy as np
+
+from toacnn.neural.checkpoint import save_checkpoint
+from toacnn.neural.profile import small_profile
+from toacnn.neural.training import TrainConfig, train
+
+rng = np.random.default_rng(0)
+samples = [
+    ((rng.uniform(0, 1, (40, 40, 1)) > 0.5).astype(np.float32),
+     rng.uniform(0, 1, (40, 40, 1)).astype(np.float32))
+    for _ in range(3)
+]
+ck, _ = train(small_profile(64), samples, TrainConfig(epochs=2, lr=1e-3, seed=3))
+print(hashlib.sha256(save_checkpoint(ck)).hexdigest())
+"""
+
+
+def test_small_checkpoint_does_not_depend_on_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toacnn.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].split()) == 1
+    assert outputs[0] == outputs[1]
 
 
 class TestInfer:
