@@ -17,16 +17,13 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
-import hashlib
 import mmap
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import SolverFailure
 
@@ -123,7 +120,7 @@ class DensityField:
 class LinearSystem:
     """K u = f with Dirichlet DOFs eliminated at solve time."""
 
-    matrix: sp.csr_array
+    matrix: AssembledMatrix
     rhs: np.ndarray
     fixed_dofs: np.ndarray
     fixed_values: np.ndarray = field(default=None)  # zeros when omitted
@@ -176,23 +173,13 @@ def element_stiffness(material: Material) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _edof_cached(nelx: int, nely: int) -> np.ndarray:
-    ey, ex = np.meshgrid(np.arange(nely), np.arange(nelx), indexing="ij")
-    top_left = ((nely + 1) * ex + ey).ravel()  # upper-left node of each element
-    ll = top_left + 1
-    lr = top_left + nely + 2
-    ur = top_left + nely + 1
-    ul = top_left
-    nodes = np.column_stack([ll, lr, ur, ul])
-    edof = np.empty((nelx * nely, 8), dtype=np.int64)
-    edof[:, 0::2] = 2 * nodes
-    edof[:, 1::2] = 2 * nodes + 1
-    return edof
-
-
 def edof_matrix(grid: Grid) -> np.ndarray:
     """(n_elements, 8) global DOF indices per element, LL, LR, UR, UL order."""
-    return _edof_cached(grid.nelx, grid.nely)
+    nelx, nely = grid.nelx, grid.nely
+    ey, ex = np.meshgrid(np.arange(nely), np.arange(nelx), indexing="ij")
+    top_left = ((nely + 1) * ex + ey).ravel()  # upper-left node of each element
+    nodes = top_left[:, None] + np.array([1, nely + 2, nely + 1, 0])  # LL, LR, UR, UL
+    return (2 * nodes[:, :, None] + np.arange(2)).reshape(-1, 8)  # (x, y) per node
 
 
 def element_nodes(grid: Grid) -> np.ndarray:
@@ -210,33 +197,136 @@ def assemble_stiffness(
     penal: float,
     material: Material,
     ke: np.ndarray | None = None,
-) -> sp.csr_array:
+) -> AssembledMatrix:
     """Global stiffness with SIMP-scaled element blocks; bitwise symmetric."""
     if ke is None:
         ke = element_stiffness(material)
-    grid = rho.grid
-    edof = edof_matrix(grid)
     factors = simp_moduli(rho.values, penal, material)
-    data = (factors[:, None, None] * ke).ravel()
-    rows = np.repeat(edof, 8, axis=1).ravel()
-    cols = np.tile(edof, (1, 8)).ravel()
-    return symmetrize(sp.coo_array((data, (rows, cols)), shape=(grid.n_dofs, grid.n_dofs)))
+    return stiffness_assembly(rho.grid).assemble(factors[:, None, None] * ke)
 
 
-def symmetrize(a: sp.sparray) -> sp.csr_array:
-    """(a + a^T) / 2 of an assembled matrix, on a's own sparsity pattern.
+class AssembledMatrix(sp.csr_array):
+    """CSR matrix built by an Assembly, which it carries for factorize.
 
-    The pattern must be symmetric, as every element assembly's is. Sparse
-    addition would drop entries that cancel to exactly zero, which uniform
-    or bound-saturated densities produce, so the pattern would follow the
-    values; kept on a's pattern it follows the mesh alone, and factorize
-    reuses one band layout across an optimizer's iterations. x + y is
-    commutative in IEEE float, so the result is symmetric to the last bit.
+    Results of sparse arithmetic on it (``-k``, ``k - k.T``) are matrices of
+    this type without an assembly, and factorize rejects them.
     """
-    a = sp.csr_array(a)
-    a.sum_duplicates()
-    at = sp.csr_array(a.T)  # same pattern, sorted indices: entries line up
-    return sp.csr_array(((a.data + at.data) * 0.5, a.indices, a.indptr), shape=a.shape)
+
+    assembly: "Assembly | None" = None
+
+
+def _anonymous_map(nbytes: int) -> mmap.mmap:
+    """Zeroed memory in its own map, faulted in at once where the platform
+    allows it.
+
+    Bands and cached patterns live here rather than in the malloc heap. Once
+    glibc frees a mapped block of up to 32 MiB it serves later blocks of
+    that size from the heap, and keeps freed heap pages resident: a 100x100
+    band of 33 MB would then stay resident after its solve is done.
+    """
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+    return mmap.mmap(-1, max(nbytes, 1), flags=flags)
+
+
+def _off_heap(x: np.ndarray) -> np.ndarray:
+    """Read-only copy of ``x`` in its own map, for arrays kept for the
+    life of the process; see _anonymous_map."""
+    out = np.frombuffer(_anonymous_map(x.nbytes), dtype=x.dtype, count=x.size)
+    out[:] = x
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True)
+class _BandLayout:
+    """Where a free block goes in a band: ``order`` lists the free DOFs in
+    band order, and the stored entries ``entries`` (indices into the CSR
+    data) land at the flat Fortran-order positions ``slots`` of the
+    ``(width + 1, order.size)`` upper band."""
+
+    order: np.ndarray
+    width: int
+    entries: np.ndarray
+    slots: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Assembly:
+    """The fixed sparsity pattern of one element DOF map, with a precomputed
+    scatter into it and the band order its factorizations use.
+
+    ``scatter`` sends entry ``(e, a, b)`` of the ``(n_elements, k, k)``
+    element blocks, flattened, to its place in the CSR data of the sorted
+    pattern ``indptr``/``indices``; ``order`` lists all DOFs in band order.
+    Build one per map and grid with Assembly.build, not per matrix.
+    """
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    scatter: np.ndarray
+    order: np.ndarray
+    _layouts: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def build(cls, edof: np.ndarray, n: int, order: np.ndarray | None = None) -> "Assembly":
+        """Pattern and scatter of the ``(n_elements, k)`` DOF map ``edof`` on
+        ``n`` DOFs; ``order`` defaults to the natural DOF numbering."""
+        k = edof.shape[1]
+        rows = np.repeat(edof, k, axis=1).ravel()
+        cols = np.tile(edof, (1, k)).ravel()
+        keys, scatter = np.unique(rows * n + cols, return_inverse=True)
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)  # keys are sorted row-major
+        order = np.arange(n) if order is None else np.asarray(order, dtype=np.int64)
+        # the CSR arrays stay resident, so they are kept narrow; the scatter
+        # stays intp, which bincount would otherwise convert on every call
+        index = np.int32 if keys.size < 2**31 else np.int64
+        pattern = (indptr.astype(index), (keys % n).astype(index), scatter.astype(np.intp))
+        return cls((n, n), *map(_off_heap, pattern), _off_heap(order))
+
+    def assemble(self, blocks: np.ndarray) -> AssembledMatrix:
+        """Sum of the ``(n_elements, k, k)`` element ``blocks`` on the pattern.
+
+        Every entry of the pattern is stored, zeros included, so the pattern
+        follows the mesh alone. Entries (i, j) and (j, i) add the same
+        element values in the same element order, so symmetric blocks give a
+        matrix symmetric to the last bit wherever each element's DOFs are
+        distinct (all meshes but a periodic cell one element wide).
+        """
+        data = np.bincount(self.scatter, weights=blocks.ravel(), minlength=self.indices.size)
+        matrix = AssembledMatrix((data, self.indices, self.indptr), shape=self.shape)
+        matrix.assembly = self
+        return matrix
+
+    def band_layout(self, fixed_dofs: np.ndarray) -> _BandLayout:
+        """Band layout of the free block left by Dirichlet DOFs ``fixed_dofs``
+        (int64), built on first use and then kept. Two threads may both build
+        it; the layouts are equal, and setdefault keeps the first."""
+        key = fixed_dofs.tobytes()
+        if key in self._layouts:
+            return self._layouts[key]
+        n = self.shape[0]
+        free = np.ones(n, dtype=bool)
+        free[fixed_dofs] = False
+        order = self.order[free[self.order]]
+        pos = np.full(n, -1, dtype=np.int64)
+        pos[order] = np.arange(order.size)
+        i = pos[np.repeat(np.arange(n), np.diff(self.indptr))]
+        j = pos[self.indices]
+        entries = np.flatnonzero((i >= 0) & (i <= j))  # free-free, upper in band order
+        i, j = i[entries], j[entries]
+        width = int((j - i).max(initial=0))
+        slots = width + i - j + (width + 1) * j
+        index = np.int32 if max(self.indices.size, (width + 1) * order.size) < 2**31 else np.int64
+        entries, slots = (_off_heap(a.astype(index)) for a in (entries, slots))
+        layout = _BandLayout(_off_heap(order), width, entries, slots)
+        return self._layouts.setdefault(key, layout)
+
+
+@lru_cache(maxsize=None)
+def stiffness_assembly(grid: Grid) -> Assembly:
+    """The Assembly of the grid's displacement DOFs, natural band order."""
+    return Assembly.build(edof_matrix(grid), grid.n_dofs)
 
 
 @dataclass(frozen=True)
@@ -248,7 +338,7 @@ class Factor:
     as ``scipy.linalg.cholesky_banded`` returns it. Build it with factorize.
     """
 
-    matrix: sp.csr_array
+    matrix: AssembledMatrix
     fixed_dofs: np.ndarray
     order: np.ndarray
     cholesky: np.ndarray
@@ -300,128 +390,39 @@ class Factor:
         return cho_solve_banded((self.cholesky, False), b, check_finite=False)
 
 
-def _band_positions(order: np.ndarray, rows: np.ndarray, cols: np.ndarray, n: int):
-    """Band position of every DOF under ``order`` and the bandwidth it gives
-    for the (symmetric) free-free entries ``rows``, ``cols``."""
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(order.size)
-    width = int((pos[cols] - pos[rows]).max(initial=0))
-    return pos, width
-
-
-@dataclass(frozen=True)
-class _BandLayout:
-    """Where a sparsity pattern's free block goes in a band: ``order`` lists
-    the free DOFs in band order, and the stored entries ``entries`` (indices
-    into the CSR data) land at the flat Fortran-order positions ``slots`` of
-    the ``(width + 1, order.size)`` upper band."""
-
-    order: np.ndarray
-    width: int
-    entries: np.ndarray
-    slots: np.ndarray
-
-
-# Band layouts by SHA-1 of their Dirichlet set and CSR pattern, oldest first.
-_LAYOUTS: dict[bytes, _BandLayout] = {}
-_LAYOUTS_LOCK = threading.Lock()
-_LAYOUTS_KEPT = 8
-
-
-def _band_layout(fixed_dofs: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> _BandLayout:
-    """Band layout of an int64 CSR pattern with Dirichlet DOFs ``fixed_dofs``,
-    built on its first factorization and then reused. An optimizer's
-    matrices keep one pattern, which follows the mesh (see symmetrize), so
-    the band order is chosen once per pattern, not once per factor."""
-    digest = hashlib.sha1(np.array([fixed_dofs.size, indptr.size, indices.size]))
-    for part in (fixed_dofs, indptr, indices):
-        digest.update(part)
-    key = digest.digest()
-    with _LAYOUTS_LOCK:
-        layout = _LAYOUTS.get(key)
-    if layout is None:
-        layout = _build_band_layout(fixed_dofs, indptr, indices)
-        with _LAYOUTS_LOCK:
-            _LAYOUTS[key] = layout
-            if len(_LAYOUTS) > _LAYOUTS_KEPT:
-                del _LAYOUTS[next(iter(_LAYOUTS))]
-    return layout
-
-
-def _off_heap(x: np.ndarray) -> np.ndarray:
-    """Read-only copy of ``x`` in its own anonymous memory map. A cached
-    layout outlives the temporaries of the factorization that built it; in
-    the malloc heap it would sit above them and keep their freed pages
-    resident (about 80 MB at 100x100)."""
-    out = np.frombuffer(mmap.mmap(-1, max(x.nbytes, 1)), dtype=x.dtype, count=x.size)
-    out[:] = x
-    out.flags.writeable = False
-    return out
-
-
-def _build_band_layout(
-    fixed_dofs: np.ndarray, indptr: np.ndarray, indices: np.ndarray
-) -> _BandLayout:
-    """The natural DOF order unless reverse Cuthill-McKee gives a narrower
-    band, and where each stored free-free upper entry lands in that band."""
-    n = indptr.size - 1
-    free = np.ones(n, dtype=bool)
-    free[fixed_dofs] = False
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    entries = np.flatnonzero(free[rows] & free[indices])
-    rows, cols = rows[entries], indices[entries]
-
-    order = np.flatnonzero(free)
-    pos, width = _band_positions(order, rows, cols, n)
-    graph = sp.csr_array((np.ones(indices.size), indices, indptr), shape=(n, n))
-    rcm = reverse_cuthill_mckee(graph, symmetric_mode=True)
-    rcm = rcm[free[rcm]]
-    pos_rcm, width_rcm = _band_positions(rcm, rows, cols, n)
-    if width_rcm < width:
-        order, pos, width = rcm, pos_rcm, width_rcm
-
-    i, j = pos[rows], pos[cols]
-    upper = i <= j
-    i, j = i[upper], j[upper]
-    slots = width + i - j + (width + 1) * j
-    return _BandLayout(_off_heap(order), width, _off_heap(entries[upper]), _off_heap(slots))
-
-
-def factorize(matrix: sp.csr_array, fixed_dofs: np.ndarray) -> Factor:
+def factorize(matrix: AssembledMatrix, fixed_dofs: np.ndarray) -> Factor:
     """Cholesky-factor the free block of ``matrix`` once, for many solves.
 
-    The free block (rows and columns not in ``fixed_dofs``) must be
-    symmetric positive definite; only its upper triangle is read. It is
-    stored as a band and factored by LAPACK ``pbtrf`` via
-    ``scipy.linalg.cholesky_banded``. The band follows the natural DOF
-    numbering, which is column-major on the grid and so gives a bandwidth of
-    about twice the nodes per column, unless a reverse Cuthill-McKee ordering
-    of the matrix graph gives a narrower band; that happens on the periodic
-    cell, whose wrap-around couples the first and last columns. The choice
-    is made once per sparsity pattern and Dirichlet set and then reused. A
-    block that is not positive definite raises SolverFailure.
+    ``matrix`` must come from Assembly.assemble; its free block (rows and
+    columns not in ``fixed_dofs``) must be symmetric positive definite, and
+    only its upper triangle is read. The block is stored as a band in the
+    assembly's order, natural for the open meshes and folded for the
+    periodic cell (see microstructure), and factored by LAPACK ``pbtrf``
+    via ``scipy.linalg.cholesky_banded``. The band layout is built once per
+    assembly and Dirichlet set. A block that is not positive definite raises
+    SolverFailure.
     """
-    a = sp.csr_array(matrix)
-    a.sum_duplicates()  # the band scatter below keeps one value per entry
+    assembly = getattr(matrix, "assembly", None)
+    if assembly is None:
+        raise TypeError("factorize needs a matrix built by Assembly.assemble")
     fixed_dofs = np.ascontiguousarray(fixed_dofs, dtype=np.int64)
     if fixed_dofs.size == 0:
         raise ValueError("at least one constrained DOF is required")
-    layout = _band_layout(
-        fixed_dofs, a.indptr.astype(np.int64, copy=False), a.indices.astype(np.int64, copy=False)
-    )
+    layout = assembly.band_layout(fixed_dofs)
     # Fortran order lets LAPACK factor the band in place instead of copying it
-    band = np.zeros((layout.width + 1) * layout.order.size)
-    band[layout.slots] = a.data[layout.entries]
+    size = (layout.width + 1) * layout.order.size
+    band = np.frombuffer(_anonymous_map(8 * size), dtype=np.float64, count=size)
+    band[layout.slots] = matrix.data[layout.entries]
     band = band.reshape((layout.width + 1, layout.order.size), order="F")
     try:
         chol = cholesky_banded(band, overwrite_ab=True, lower=False, check_finite=False)
     except LinAlgError as exc:
         raise SolverFailure(f"free block is not positive definite: {exc}") from exc
-    return Factor(a, fixed_dofs, layout.order, chol)
+    return Factor(matrix, fixed_dofs, layout.order, chol)
 
 
 def solve_many(
-    matrix: sp.csr_array,
+    matrix: AssembledMatrix,
     rhs_columns: np.ndarray,
     fixed_dofs: np.ndarray,
     fixed_values: np.ndarray | None = None,
@@ -431,19 +432,19 @@ def solve_many(
 
     Dirichlet DOFs are eliminated and the free block, which must be
     symmetric positive definite, is factored once by banded Cholesky in the
-    natural DOF order or, when narrower, a reverse Cuthill-McKee order (see
-    factorize). Each solution is then refined until its relative residual
-    meets ``tol`` (see Factor.solve). Raises SolverFailure, with the residual
-    attached when there is one, when refinement stalls short or the block is
-    not positive definite.
+    band order of the matrix's assembly: natural for the open meshes, folded
+    for the periodic cell (see factorize). Each solution is then refined
+    until its relative residual meets ``tol`` (see Factor.solve). Raises
+    SolverFailure, with the residual attached when there is one, when
+    refinement stalls short or the block is not positive definite.
     """
     return factorize(matrix, fixed_dofs).solve(rhs_columns, fixed_values, tol)
 
 
 def solve_spd(system: LinearSystem, tol: float = 1e-8) -> np.ndarray:
     """Solve one eliminated Dirichlet system whose free block is symmetric
-    positive definite, by banded Cholesky in the natural DOF order or, when
-    narrower, a reverse Cuthill-McKee order; see solve_many for the contract."""
+    positive definite, by banded Cholesky in the band order of the matrix's
+    assembly; see solve_many for the contract."""
     return solve_many(
         system.matrix,
         system.rhs[None, :],

@@ -10,6 +10,7 @@ and a load-save round trip is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -72,8 +73,8 @@ def load_checkpoint(data: bytes) -> Checkpoint:
         seed = int(header["seed"])
         epochs = int(header["epochs"])
         loss_tail = [float(v) for v in header["loss_tail"]]
-        tensors = header["tensors"]
-    except (ValueError, KeyError, TypeError) as exc:
+        tensors = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"malformed checkpoint header: {exc}") from exc
 
     specs = profile.parameter_specs()
@@ -84,12 +85,11 @@ def load_checkpoint(data: bytes) -> Checkpoint:
     params = []
     offset = 16 + head_len
     for entry, (name, shape, _) in zip(tensors, specs):
-        if entry["name"] != name or tuple(entry["shape"]) != shape:
+        if entry != (name, shape):
             raise FormatError(
                 f"tensor mismatch: header has {entry}, profile expects {name} {shape}"
             )
-        count = int(np.prod(shape, dtype=np.int64))
-        nbytes = 4 * count
+        nbytes = 4 * math.prod(shape)
         if offset + nbytes > len(data):
             raise FormatError(f"checkpoint truncated inside tensor {name}")
         arr = np.frombuffer(data[offset : offset + nbytes], dtype="<f4").reshape(shape)

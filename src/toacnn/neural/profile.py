@@ -31,6 +31,11 @@ class NetworkProfile:
     def __post_init__(self):
         if self.adaptive_units < 0:
             raise ValueError(f"adaptive_units must be >= 0, got {self.adaptive_units}")
+        if not (self.encoder and self.decoder):
+            raise ValueError("encoder and decoder need at least one stage each")
+        stages = (self.input_size,) + sum(self.encoder + self.decoder, ())
+        if min(stages) < 1:
+            raise ValueError(f"sizes, kernels, channels, pools and factors must be >= 1: {self}")
         size = self.input_size
         for k, _, pool in self.encoder:
             if k % 2 == 0:

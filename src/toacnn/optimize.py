@@ -142,11 +142,12 @@ def oc_update(
     l1, l2 = 1e-40, 1e40  # volume(l1) ~ hi side, volume(l2) ~ lo side
     for _ in range(256):
         lmid = math.sqrt(l1 * l2)
-        if volume(lmid) > vf_target:
+        vol = volume(lmid)
+        if vol > vf_target:
             l1 = lmid
         else:
             l2 = lmid
-        if abs(volume(lmid) - vf_target) <= 1e-9:
+        if abs(vol - vf_target) <= 1e-9:
             break
     lam = math.sqrt(l1 * l2)
     return np.clip(base / math.sqrt(lam), lo, hi)
@@ -240,6 +241,10 @@ def mma_update(
         lo_l = 0.0
         for _ in range(128):
             mid = 0.5 * (lo_l + hi)
+            # theta(lo_l) > 0 >= theta(hi) hold throughout, so once mid
+            # rounds onto an end every later step would leave both unchanged
+            if mid == lo_l or mid == hi:
+                break
             if theta(mid) > 0.0:
                 lo_l = mid
             else:

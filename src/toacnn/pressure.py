@@ -12,24 +12,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fem import (
+    _GAUSS_1D,
+    AssembledMatrix,
+    Assembly,
     DensityField,
     Factor,
     Grid,
     LinearSystem,
     Material,
+    _shape_gradients,
     assemble_stiffness,
     compliance,
+    edof_matrix,
     element_nodes,
     element_stiffness,
     factorize,
     solve_many,  # noqa: F401  (re-exported: the benchmark tracer wraps it here)
     solve_spd,
-    symmetrize,
 )
 from .optimize import (
     MmaState,
@@ -40,20 +44,9 @@ from .optimize import (
     smooth_heaviside,
 )
 
-_GAUSS_1D = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
-
 
 def _shape_values(xi, eta):
     return np.array([(1 - xi) * (1 - eta), xi * (1 - eta), xi * eta, (1 - xi) * eta])
-
-
-def _shape_gradients(xi, eta):
-    return np.array(
-        [
-            [-(1 - eta), (1 - eta), eta, -eta],
-            [-(1 - xi), -xi, xi, (1 - xi)],
-        ]
-    )
 
 
 def _flow_matrices():
@@ -129,15 +122,18 @@ def flow_properties(rho: np.ndarray, cfg: PressureConfig) -> tuple[np.ndarray, n
     return k, d
 
 
-def assemble_darcy(rho: DensityField, cfg: PressureConfig) -> sp.csr_array:
+@lru_cache(maxsize=None)
+def _darcy_assembly(grid: Grid) -> Assembly:
+    """The Assembly of the grid's pressure nodes, natural band order."""
+    return Assembly.build(element_nodes(grid), grid.n_nodes)
+
+
+def assemble_darcy(rho: DensityField, cfg: PressureConfig) -> AssembledMatrix:
     """Node-based flow matrix A = sum_e (K_e laplace + D_e mass)."""
-    grid = rho.grid
-    nodes = element_nodes(grid)
     k, d = flow_properties(rho.values, cfg)
-    data = (k[:, None, None] * _LAPLACE + d[:, None, None] * _MASS).ravel()
-    rows = np.repeat(nodes, 4, axis=1).ravel()
-    cols = np.tile(nodes, (1, 4)).ravel()
-    return symmetrize(sp.coo_array((data, (rows, cols)), shape=(grid.n_nodes, grid.n_nodes)))
+    return _darcy_assembly(rho.grid).assemble(
+        k[:, None, None] * _LAPLACE + d[:, None, None] * _MASS
+    )
 
 
 def pressure_boundary(grid: Grid, p0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +147,7 @@ def pressure_boundary(grid: Grid, p0: float) -> tuple[np.ndarray, np.ndarray]:
     return fixed, values
 
 
-def pressure_factor(a: sp.csr_array, grid: Grid) -> Factor:
+def pressure_factor(a: AssembledMatrix, grid: Grid) -> Factor:
     """Darcy matrix ``a`` factored on its pressure-free nodes. The pressure
     solve and the load adjoint have the same matrix and Dirichlet nodes, so
     one factor serves both."""
@@ -160,7 +156,7 @@ def pressure_factor(a: sp.csr_array, grid: Grid) -> Factor:
 
 
 def solve_pressure(
-    a: sp.csr_array, grid: Grid, p0: float, factor: Factor | None = None
+    a: AssembledMatrix, grid: Grid, p0: float, factor: Factor | None = None
 ) -> np.ndarray:
     """Nodal pressure field for the two-edge Dirichlet problem; ``factor``,
     the pressure_factor of ``a`` when the caller has it, saves factoring
@@ -173,14 +169,8 @@ def solve_pressure(
 
 def pressure_to_loads(p: np.ndarray, grid: Grid) -> np.ndarray:
     """Consistent nodal forces f = -T p for the pressure-gradient body load."""
-    nodes = element_nodes(grid)
-    fe = -np.einsum("ij,nj->ni", _COUPLING, p[nodes])
-    f = np.zeros(grid.n_dofs)
-    edof = np.empty((nodes.shape[0], 8), dtype=np.int64)
-    edof[:, 0::2] = 2 * nodes
-    edof[:, 1::2] = 2 * nodes + 1
-    np.add.at(f, edof.ravel(), fe.ravel())
-    return f
+    fe = -np.einsum("ij,nj->ni", _COUPLING, p[element_nodes(grid)])
+    return np.bincount(edof_matrix(grid).ravel(), weights=fe.ravel(), minlength=grid.n_dofs)
 
 
 def arch_supports(cfg: PressureConfig) -> np.ndarray:
@@ -247,15 +237,8 @@ def arch_sensitivities(
 
 def pressure_to_loads_transpose(v: np.ndarray, grid: Grid) -> np.ndarray:
     """T^T v: gather the structural vector back onto pressure nodes."""
-    nodes = element_nodes(grid)
-    edof = np.empty((nodes.shape[0], 8), dtype=np.int64)
-    edof[:, 0::2] = 2 * nodes
-    edof[:, 1::2] = 2 * nodes + 1
-    ve = v[edof]
-    ge = np.einsum("ij,ni->nj", _COUPLING, ve)
-    out = np.zeros(grid.n_nodes)
-    np.add.at(out, nodes.ravel(), ge.ravel())
-    return out
+    ge = np.einsum("ij,ni->nj", _COUPLING, v[edof_matrix(grid)])
+    return np.bincount(element_nodes(grid).ravel(), weights=ge.ravel(), minlength=grid.n_nodes)
 
 
 def solve_arch(cfg: PressureConfig) -> OptResult:

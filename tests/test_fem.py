@@ -12,6 +12,7 @@ import toacnn
 
 from toacnn.errors import SolverFailure
 from toacnn.fem import (
+    Assembly,
     DensityField,
     Grid,
     LinearSystem,
@@ -25,9 +26,17 @@ from toacnn.fem import (
     simp_moduli,
     solve_many,
     solve_spd,
+    stiffness_assembly,
 )
-from toacnn.microstructure import _periodic_edof
-from toacnn.pressure import PressureConfig, assemble_darcy, pressure_boundary
+from toacnn.microstructure import _periodic_edof, periodic_assembly
+from toacnn.pressure import (
+    _LAPLACE,
+    _MASS,
+    PressureConfig,
+    _darcy_assembly,
+    assemble_darcy,
+    pressure_boundary,
+)
 
 
 def closed_form_ke(nu):
@@ -175,10 +184,73 @@ class TestAssembly:
         k = assemble_stiffness(rho, 3.0, Material())
         assert abs(k - k.T).max() == 0.0
 
+    def test_factorize_rejects_matrices_from_elsewhere(self):
+        g, k, f, fixed = cantilever_1x1()
+        with pytest.raises(TypeError, match="Assembly"):
+            factorize(sp.csr_array(k), fixed)
+        with pytest.raises(TypeError, match="Assembly"):
+            factorize(2.0 * k, fixed)  # sparse arithmetic drops the assembly
+
     def test_simp_void_floor(self):
         vals = simp_moduli(np.array([0.0, 1.0]), 3.0, Material())
         assert vals[0] == 1e-9
         assert vals[1] == 1.0
+
+
+def coo_reference(edof, n, blocks):
+    """The matrix summed the plain way: COO triplets to CSR."""
+    k = edof.shape[1]
+    rows = np.repeat(edof, k, axis=1).ravel()
+    cols = np.tile(edof, (1, k)).ravel()
+    return sp.coo_array((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def assembly_cases(g, w):
+    """(name, assembly, DOF map, blocks) of the elastic, Darcy and periodic
+    maps on grid ``g`` with element weights ``w``."""
+    ke = element_stiffness(Material())
+    ke_w = w[:, None, None] * ke
+    darcy = w[:, None, None] * _LAPLACE + (1.0 - w)[:, None, None] * _MASS
+    return [
+        ("elastic", stiffness_assembly(g), edof_matrix(g), ke_w),
+        ("darcy", _darcy_assembly(g), element_nodes(g), darcy),
+        ("periodic", periodic_assembly(g), _periodic_edof(g.nelx, g.nely), ke_w),
+    ]
+
+
+class TestScatterAssembly:
+    @pytest.mark.parametrize("shape", [(5, 4), (7, 7), (12, 3)])
+    def test_matches_coo_sum_and_is_bit_symmetric(self, shape):
+        g = Grid(*shape)
+        rng = np.random.default_rng(20)
+        for name, assembly, edof, blocks in assembly_cases(g, rng.uniform(1e-3, 1.0, g.n_elements)):
+            k = assembly.assemble(blocks)
+            ref = coo_reference(edof, assembly.shape[0], blocks)
+            assert np.array_equal(k.indptr, ref.indptr) and np.array_equal(k.indices, ref.indices), name
+            assert np.allclose(k.data, ref.data, rtol=1e-14, atol=0.0), name
+            assert abs(k - k.T).max() == 0.0, name
+
+    def test_uniform_field_keeps_explicit_zeros(self):
+        g = Grid(6, 5)
+        rng = np.random.default_rng(21)
+        for (name, assembly, edof, uniform), (_, _, _, random) in zip(
+            assembly_cases(g, np.full(g.n_elements, 0.5)),
+            assembly_cases(g, rng.uniform(0.1, 1.0, g.n_elements)),
+        ):
+            k = assembly.assemble(uniform)
+            ref = coo_reference(edof, assembly.shape[0], random)  # no cancellation
+            assert k.nnz == ref.nnz and np.array_equal(k.indices, ref.indices), name
+            if name != "darcy":  # elastic blocks cancel exactly on a uniform field
+                assert np.count_nonzero(k.data) < k.nnz, name
+
+    def test_folded_periodic_band_is_narrower_than_natural(self):
+        fixed = np.array([0, 1])
+        for n, width in ((100, 405), (40, 165)):
+            assert periodic_assembly(Grid(n, n)).band_layout(fixed).width == width
+        g = Grid(10, 8)
+        folded = periodic_assembly(g)
+        natural = Assembly.build(_periodic_edof(g.nelx, g.nely), 2 * g.n_elements)
+        assert folded.band_layout(fixed).width < natural.band_layout(fixed).width
 
 
 def cantilever_1x1():
@@ -266,14 +338,8 @@ def dense_eliminated_solve(k, f, fixed, values):
 
 def periodic_stiffness(rho, penal, mat):
     """Reduced periodic-cell stiffness, assembled the way homogenize does."""
-    grid = rho.grid
-    edof = _periodic_edof(grid.nelx, grid.nely)
-    n = 2 * grid.n_elements
-    data = (simp_moduli(rho.values, penal, mat)[:, None, None] * element_stiffness(mat)).ravel()
-    k = sp.coo_array(
-        (data, (np.repeat(edof, 8, axis=1).ravel(), np.tile(edof, (1, 8)).ravel())), shape=(n, n)
-    ).tocsr()
-    return ((k + k.T) * 0.5).tocsr()
+    blocks = simp_moduli(rho.values, penal, mat)[:, None, None] * element_stiffness(mat)
+    return periodic_assembly(rho.grid).assemble(blocks)
 
 
 class TestFactor:
@@ -290,7 +356,7 @@ class TestFactor:
         uref = dense_eliminated_solve(a, f, fixed, values)
         assert np.linalg.norm(u - uref) <= 1e-8 * np.linalg.norm(uref)
 
-    def test_periodic_block_takes_narrower_rcm_band_and_matches_dense(self):
+    def test_periodic_block_takes_folded_band_and_matches_dense(self):
         g = Grid(10, 8)
         rng = np.random.default_rng(6)
         rho = DensityField(g, rng.uniform(0.1, 1.0, g.n_elements))
@@ -324,65 +390,71 @@ class TestFactor:
 
     def test_indefinite_block_raises_solver_failure(self):
         g, k, f, fixed = cantilever_1x1()
+        negated = k.assembly.assemble(-element_stiffness(Material())[None])
         with pytest.raises(SolverFailure, match="positive definite"):
-            solve_spd(LinearSystem(-k, f, fixed))
+            solve_spd(LinearSystem(negated, f, fixed))
         with pytest.raises(SolverFailure):
-            factorize(-k, fixed)
+            factorize(negated, fixed)
 
-    def test_ordering_is_chosen_once_per_pattern(self, monkeypatch):
+    def test_layout_is_built_once_per_assembly_and_dirichlet_set(self, monkeypatch):
         import toacnn.fem as fem
 
-        rcm = fem.reverse_cuthill_mckee
-        calls = []
+        built = []
+        layout_type = fem._BandLayout
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return rcm(*args, **kwargs)
+        def counted(order, *args):
+            built.append(order.size)
+            return layout_type(order, *args)
 
-        fem._LAYOUTS.clear()
-        monkeypatch.setattr(fem, "reverse_cuthill_mckee", counted)
+        monkeypatch.setattr(fem, "_BandLayout", counted)
         rng = np.random.default_rng(9)
         g = Grid(7, 6)
+        ke = element_stiffness(Material())
+        blocks = [
+            np.full(g.n_elements, 0.5)[:, None, None] * ke,
+            rng.uniform(0.05, 1.0, g.n_elements)[:, None, None] * ke,
+        ]
+        assembly = Assembly.build(edof_matrix(g), g.n_dofs)  # fresh: no layouts yet
         fixed = np.arange(2 * (g.nely + 1))
         # a uniform field makes some assembled entries cancel to exactly zero;
         # they stay in the pattern, so both matrices share one band layout
-        fields = [
-            DensityField(g, np.full(g.n_elements, 0.5)),
-            DensityField(g, rng.uniform(0.05, 1.0, g.n_elements)),
-        ]
-        mats = [assemble_stiffness(rho, 3.0, Material()) for rho in fields]
+        mats = [assembly.assemble(b) for b in blocks]
         assert np.count_nonzero(mats[0].data) < mats[0].nnz == mats[1].nnz
         warm = [factorize(k, fixed) for k in mats]
-        assert len(calls) == 1  # same pattern and Dirichlet set: one choice
+        n_free = g.n_dofs - fixed.size
+        assert built == [n_free]  # same assembly and Dirichlet set: one layout
         factorize(mats[0], fixed[:-1])
-        assert len(calls) == 2  # a different Dirichlet set is a different block
-        fem._LAYOUTS.clear()
-        cold = factorize(mats[1], fixed)
+        assert built == [n_free, n_free + 1]  # a different Dirichlet set
+        cold = factorize(Assembly.build(edof_matrix(g), g.n_dofs).assemble(blocks[1]), fixed)
+        assert len(built) == 3
         assert np.array_equal(cold.order, warm[1].order)
         assert np.array_equal(cold.cholesky, warm[1].cholesky)
 
-    def test_layout_cache_under_concurrent_factorizations(self):
+    def test_concurrent_factorizations_match_serial(self):
         import threading
 
-        import toacnn.fem as fem
-
         rng = np.random.default_rng(10)
+        ke = element_stiffness(Material())
         cases = []
-        for nelx in range(3, 15):  # more patterns than the cache keeps
+        for nelx in range(3, 15):
             g = Grid(nelx, 3)
-            rho = DensityField(g, rng.uniform(0.1, 1.0, g.n_elements))
-            k = assemble_stiffness(rho, 3.0, Material())
+            blocks = rng.uniform(0.1, 1.0, g.n_elements)[:, None, None] * ke
             fixed = np.arange(2 * (g.nely + 1))
             f = rng.standard_normal(g.n_dofs)
-            cases.append((k, fixed, f, solve_many(k, f, fixed)))
+            ref = solve_many(stiffness_assembly(g).assemble(blocks), f, fixed)
+            cases.append((g, blocks, fixed, f, ref))
+        # fresh assemblies, shared by all threads: their layouts are built
+        # while other threads factor on the same assembly
+        shared = [Assembly.build(edof_matrix(g), g.n_dofs) for g, *_ in cases]
         errors = []
 
         def worker(offset):
             try:
                 for i in range(4 * len(cases)):
-                    k, fixed, f, ref = cases[(i + offset) % len(cases)]
-                    if not np.array_equal(factorize(k, fixed).solve(f), ref):
-                        errors.append(f"case {(i + offset) % len(cases)} differs")
+                    case = (i + offset) % len(cases)
+                    _, blocks, fixed, f, ref = cases[case]
+                    if not np.array_equal(factorize(shared[case].assemble(blocks), fixed).solve(f), ref):
+                        errors.append(f"case {case} differs")
             except Exception as exc:  # reported below with the case
                 errors.append(repr(exc))
 
@@ -398,7 +470,7 @@ class TestFactor:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(fem._LAYOUTS) <= fem._LAYOUTS_KEPT
+        assert all(len(a._layouts) == 1 for a in shared)
 
     @pytest.mark.parametrize("problem", ["cantilever", "micro"])
     def test_one_factorization_per_iteration(self, problem, monkeypatch):

@@ -1,10 +1,12 @@
 """Checkpoint serialization: byte round-trips and corruption detection."""
 
+import json
 import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from toacnn.errors import FormatError
 from toacnn.neural.checkpoint import (
@@ -124,6 +126,73 @@ class TestCorruption:
         spliced = good[: 16 + hl_good] + blob[16 + hl_blob :]
         with pytest.raises(FormatError):
             load_checkpoint(spliced)
+
+
+def with_header(blob, edit):
+    """``blob`` with its JSON header replaced by ``edit(header)``."""
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + length])
+    edit(header)
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return MAGIC + struct.pack("<Q", len(head)) + head + blob[16 + length :]
+
+
+class TestMalformedHeader:
+    def test_tensors_not_a_list(self):
+        blob = with_header(save_checkpoint(make_ck()), lambda h: h.update(tensors=5))
+        with pytest.raises(FormatError, match="header"):
+            load_checkpoint(blob)
+
+    def test_tensor_entry_without_name(self):
+        blob = with_header(save_checkpoint(make_ck()), lambda h: h["tensors"][0].pop("name"))
+        with pytest.raises(FormatError, match="header"):
+            load_checkpoint(blob)
+
+    def test_encoder_pool_zero(self):
+        def edit(h):
+            h["profile"]["encoder"][0][2] = 0
+
+        with pytest.raises(FormatError, match="header"):
+            load_checkpoint(with_header(save_checkpoint(make_ck()), edit))
+
+    @pytest.mark.parametrize("stages", [[], [[3, 2]], [[3, 0, 2]], [[-3, 2, 2]]])
+    def test_bad_encoder_stages(self, stages):
+        def edit(h):
+            h["profile"]["encoder"] = stages
+
+        with pytest.raises(FormatError, match="header"):
+            load_checkpoint(with_header(save_checkpoint(make_ck()), edit))
+
+    def test_epoch_count_overflow(self):
+        blob = with_header(save_checkpoint(make_ck()), lambda h: h.update(epochs=1e400))
+        with pytest.raises(FormatError, match="header"):
+            load_checkpoint(blob)
+
+
+_BLOB = save_checkpoint(make_ck())
+
+
+class TestFuzz:
+    @given(
+        edits=st.lists(
+            st.tuples(st.integers(0, len(_BLOB) - 1), st.integers(0, 255)), min_size=1, max_size=4
+        ),
+        cut=st.none() | st.integers(0, len(_BLOB)),
+        header_only=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_byte_mutations_raise_only_format_error(self, edits, cut, header_only):
+        (length,) = struct.unpack("<Q", _BLOB[8:16])
+        data = bytearray(_BLOB[:cut])
+        for pos, value in edits:
+            # most payload bytes only change a float; aim at the header half the time
+            pos = pos % (16 + length) if header_only else pos
+            if pos < len(data):
+                data[pos] = value
+        try:
+            load_checkpoint(bytes(data))
+        except FormatError:
+            pass
 
 
 class TestValidation:

@@ -8,6 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from toacnn.fem import Grid
 from toacnn.optimize import (
+    _ALBEFA,
+    _ASYDECR,
+    _ASYINCR,
+    _ASYINIT,
+    _ELASTIC,
+    _RAA0,
     FilterKernel,
     MmaState,
     build_filter,
@@ -155,6 +161,161 @@ class TestOcUpdate:
         else:
             # target unreachable: pinned at the nearer bound
             assert out.mean() == pytest.approx(np.clip(vf, lo_mean, hi_mean), abs=1e-12)
+
+
+def reference_oc_update(rho, dc, dv, vf_target, move=0.2):
+    """The OC step as first written: volume(lmid) evaluated twice per step."""
+    lo = np.maximum(0.0, rho - move)
+    hi = np.minimum(1.0, rho + move)
+    if hi.mean() <= vf_target:
+        return hi
+    if lo.mean() >= vf_target:
+        return lo
+    base = rho * np.sqrt(np.maximum(-dc, 0.0) / dv)
+
+    def volume(lam):
+        return float(np.clip(base / math.sqrt(lam), lo, hi).mean())
+
+    l1, l2 = 1e-40, 1e40
+    for _ in range(256):
+        lmid = math.sqrt(l1 * l2)
+        if volume(lmid) > vf_target:
+            l1 = lmid
+        else:
+            l2 = lmid
+        if abs(volume(lmid) - vf_target) <= 1e-9:
+            break
+    lam = math.sqrt(l1 * l2)
+    return np.clip(base / math.sqrt(lam), lo, hi)
+
+
+class TestOcMatchesReference:
+    def test_bitwise_on_seeded_inputs(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n = int(rng.integers(1, 300))
+            rho = rng.uniform(0.0, 1.0, n)
+            dc = -rng.uniform(0.0, 10.0, n) * (rng.uniform(size=n) < 0.9)
+            dv = rng.uniform(0.5, 2.0, n)
+            vf = float(rng.uniform(0.02, 0.98))
+            move = float(rng.uniform(0.01, 0.5))
+            out = oc_update(rho, dc, dv, vf, move)
+            assert out.tobytes() == reference_oc_update(rho, dc, dv, vf, move).tobytes()
+
+
+def reference_mma_update(state, rho, dobj, constraint, dconstraint, iteration, move=0.2):
+    """The MMA step as first written, with all 128 bisection steps; also
+    returns the multiplier it chose."""
+    xmin, xmax = 0.0, 1.0
+    xrange = xmax - xmin
+    n = rho.size
+    if iteration <= 2 or state.xold1 is None or state.xold2 is None:
+        low = rho - _ASYINIT * xrange
+        upp = rho + _ASYINIT * xrange
+    else:
+        zzz = (rho - state.xold1) * (state.xold1 - state.xold2)
+        factor = np.ones(n)
+        factor[zzz > 0.0] = _ASYINCR
+        factor[zzz < 0.0] = _ASYDECR
+        low = rho - factor * (state.xold1 - state.low)
+        upp = rho + factor * (state.upp - state.xold1)
+        low = np.clip(low, rho - 10.0 * xrange, rho - 0.01 * xrange)
+        upp = np.clip(upp, rho + 0.01 * xrange, rho + 10.0 * xrange)
+    alfa = np.maximum(np.maximum(xmin, low + _ALBEFA * (rho - low)), rho - move * xrange)
+    beta = np.minimum(np.minimum(xmax, upp - _ALBEFA * (upp - rho)), rho + move * xrange)
+    ux1 = upp - rho
+    xl1 = rho - low
+    ux2 = ux1 * ux1
+    xl2 = xl1 * xl1
+    op = np.maximum(dobj, 0.0)
+    om = np.maximum(-dobj, 0.0)
+    cp = np.maximum(dconstraint, 0.0)
+    cm = np.maximum(-dconstraint, 0.0)
+    p0 = (1.001 * op + 0.001 * om + _RAA0 / xrange) * ux2
+    q0 = (0.001 * op + 1.001 * om + _RAA0 / xrange) * xl2
+    pc = (1.001 * cp + 0.001 * cm) * ux2
+    qc = (0.001 * cp + 1.001 * cm) * xl2
+    b = float(np.sum(pc / ux1 + qc / xl1) - constraint)
+
+    def primal(lam):
+        sp_ = np.sqrt(p0 + lam * pc)
+        sq_ = np.sqrt(q0 + lam * qc)
+        return np.clip((low * sp_ + upp * sq_) / (sp_ + sq_), alfa, beta)
+
+    def theta(lam):
+        x = primal(lam)
+        return float(np.sum(pc / (upp - x) + qc / (x - low)) - b)
+
+    if theta(0.0) <= 0.0:
+        lam_star = 0.0
+    elif theta(_ELASTIC) > 0.0:
+        lam_star = _ELASTIC
+    else:
+        hi = 1.0
+        while hi < _ELASTIC and theta(hi) > 0.0:
+            hi *= 2.0
+        hi = min(hi, _ELASTIC)
+        lo_l = 0.0
+        for _ in range(128):
+            mid = 0.5 * (lo_l + hi)
+            if theta(mid) > 0.0:
+                lo_l = mid
+            else:
+                hi = mid
+        lam_star = hi
+    x_new = primal(lam_star)
+    th = theta(lam_star)
+    if lam_star == _ELASTIC:
+        th -= max(0.0, th)
+    kkt = abs(lam_star * th) + max(0.0, th)
+    new_state = MmaState(
+        low=low,
+        upp=upp,
+        xold1=rho.copy(),
+        xold2=None if state.xold1 is None else state.xold1.copy(),
+        kkt_residual=kkt,
+    )
+    return x_new, new_state, lam_star, theta
+
+
+class TestMmaMatchesReference:
+    def assert_same_step(self, state, rho, dobj, g, dg, it):
+        x, new = mma_update(state, rho, dobj, g, dg, iteration=it)
+        x_ref, ref, lam, _ = reference_mma_update(state, rho, dobj, g, dg, it)
+        assert x.tobytes() == x_ref.tobytes()
+        assert new.kkt_residual == ref.kkt_residual
+        assert new.low.tobytes() == ref.low.tobytes() and new.upp.tobytes() == ref.upp.tobytes()
+        return new, lam
+
+    def test_bitwise_over_seeded_runs(self):
+        rng = np.random.default_rng(32)
+        lams = []
+        for vf in [0.1, 0.35, 0.5, 0.65, 0.95] * 3:  # out of reach, binding, slack
+            n = int(rng.integers(5, 200))
+            rho = rng.uniform(0.0, 1.0, n)
+            state = MmaState()
+            for it in range(1, 9):
+                dobj = rng.uniform(-4.0, 1.0, n)
+                g, dg = volume_constraint(rho, vf)
+                state, lam = self.assert_same_step(state, rho, dobj, g, dg, it)
+                lams.append(lam)
+                rho = np.clip(rho + rng.uniform(-0.1, 0.1, n), 0.0, 1.0)
+        assert _ELASTIC in lams and 0.0 in lams
+        assert any(0.0 < lam < _ELASTIC for lam in lams)
+
+    def test_bitwise_with_multiplier_near_zero(self):
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            n = int(rng.integers(5, 100))
+            rho = rng.uniform(0.1, 0.9, n)
+            dobj = rng.uniform(-2e-5, 2e-5, n)  # keeps x(0) off the move limits
+            dg = rng.uniform(0.5, 1.5, n) / n
+            # theta grows by the constraint value: start it a hair above 0
+            _, _, _, theta = reference_mma_update(MmaState(), rho, dobj, 0.0, dg, 1)
+            t0 = theta(0.0)
+            g = -t0 + 1e-9 * abs(t0) + 1e-300
+            _, lam = self.assert_same_step(MmaState(), rho, dobj, g, dg, 1)
+            assert 0.0 < lam < 1e-3
 
 
 def volume_constraint(rho, vf):
