@@ -31,11 +31,68 @@ and the transposed-conv products also keep einsum's operand order, which the
 small profile's shapes need. With one numpy and BLAS build the two forms then
 agree bit for bit on both network profiles, so a trained checkpoint is the
 same whichever computed it.
+
+The conv and tconv products run through ``_matmul``. A product of at least
+``_SPLIT_MIN_MACS`` multiply-adds (on ``full_profile``, every product but
+enc0's and dec2's) is split by output rows: one helper thread computes the
+lower half into a shared output while the calling thread computes the upper
+half. Each output element is still one inner product over the whole inner
+dimension, which BLAS blocks the same way whatever the row count, so the
+split result is byte for byte the whole product's (checked on every product
+shape of both profiles in tests/test_neural_layers.py). Smaller products,
+among them all of ``small_profile``'s, stay whole: there a split does not
+pay, and BLAS picks its small-matrix and matrix-vector kernels by size, so a
+split would no longer be bitwise. The helper thread starts with the first
+large product; only raw ``np.matmul`` halves run on it, and a forked child
+starts its own.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
+
+# Products of at least this many multiply-adds (m*k*n) split their output
+# rows with the helper thread. On two cores and one BLAS thread, a hot-cache
+# split paid off from about 2^24 (256x256x256: 0.43 ms either way, 512x256x256:
+# 0.84 -> 0.69 ms); full_profile's dec1 products (2^25.3) went 1.1 -> 0.85 ms,
+# while enc0's (2^22.5) ran up to 2x slower split.
+_SPLIT_MIN_MACS = 1 << 25
+
+_helper: ThreadPoolExecutor | None = None
+_helper_lock = threading.Lock()
+
+
+def _forget_helper():
+    global _helper, _helper_lock
+    _helper = None
+    _helper_lock = threading.Lock()
+
+
+# a forked child has no helper thread, only the parent's executor object
+os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _matmul(a, b):
+    """a @ b; in a large product the helper thread computes the lower half of
+    the output rows while the calling thread computes the upper half."""
+    global _helper
+    m, k = a.shape
+    n = b.shape[1]
+    if m * k * n < _SPLIT_MIN_MACS:
+        return a @ b
+    with _helper_lock:
+        if _helper is None:
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="toacnn-matmul")
+    out = np.empty((m, n), dtype=np.result_type(a, b))
+    h = m // 2
+    lower = _helper.submit(np.matmul, a[h:], b, out=out[h:])
+    np.matmul(a[:h], b, out=out[:h])
+    lower.result()
+    return out
 
 
 def _im2col(x, kh, kw):
@@ -55,23 +112,27 @@ def conv2d_forward(x, kernels, bias):
     kh, kw, cin, cout = kernels.shape
     h, w, _ = x.shape
     cols = _im2col(x, kh, kw)
-    y = cols @ kernels.reshape(kh * kw * cin, cout) + bias
+    y = _matmul(cols, kernels.reshape(kh * kw * cin, cout)) + bias
     return y.reshape(h, w, cout).astype(np.float32, copy=False), (cols, kernels)
 
 
-def conv2d_backward(cache, d_out):
+def conv2d_param_grads(cache, d_out):
+    """(d_kernels, d_bias) of a conv: its backward without the input gradient."""
     cols, kernels = cache
+    cout = kernels.shape[3]
+    d_bias = d_out.sum(axis=(0, 1))
+    d_kernels = _matmul(cols.T, d_out.reshape(-1, cout)).reshape(kernels.shape)
+    return d_kernels.astype(np.float32, copy=False), d_bias.astype(np.float32, copy=False)
+
+
+def conv2d_backward(cache, d_out):
+    _, kernels = cache
     kh, kw, cin, cout = kernels.shape
     h, w, _ = d_out.shape
-    d_bias = d_out.sum(axis=(0, 1))
-    d_kernels = (cols.T @ d_out.reshape(h * w, cout)).reshape(kernels.shape)
+    d_kernels, d_bias = conv2d_param_grads(cache, d_out)
     flipped = kernels[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * cout, cin)
-    dx = (_im2col(d_out, kh, kw) @ flipped).reshape(h, w, cin)
-    return (
-        dx.astype(np.float32, copy=False),
-        d_kernels.astype(np.float32, copy=False),
-        d_bias.astype(np.float32, copy=False),
-    )
+    dx = _matmul(_im2col(d_out, kh, kw), flipped).reshape(h, w, cin)
+    return dx.astype(np.float32, copy=False), d_kernels, d_bias
 
 
 def maxpool_forward(x, size):
@@ -123,7 +184,9 @@ def tconv_forward(x, kernels, bias):
     """
     f, _, cin, cout = kernels.shape
     h, w, _ = x.shape
-    taps = kernels.transpose(0, 1, 3, 2).reshape(f * f * cout, cin) @ x.reshape(h * w, cin).T
+    taps = _matmul(
+        kernels.transpose(0, 1, 3, 2).reshape(f * f * cout, cin), x.reshape(h * w, cin).T
+    )
     y = taps.reshape(f, f, cout, h, w).transpose(3, 0, 4, 1, 2).reshape(h * f, w * f, cout)
     return (y + bias).astype(np.float32, copy=False), (x, kernels)
 
@@ -134,8 +197,8 @@ def tconv_backward(cache, d_out):
     h, w, _ = x.shape
     d = d_out.reshape(h, f, w, f, cout).transpose(1, 3, 4, 0, 2).reshape(f * f * cout, h * w)
     d_bias = d_out.sum(axis=(0, 1))
-    d_kernels = (d @ x.reshape(h * w, cin)).reshape(f, f, cout, cin).transpose(0, 1, 3, 2)
-    dx = kernels.transpose(2, 0, 1, 3).reshape(cin, f * f * cout) @ d
+    d_kernels = _matmul(d, x.reshape(h * w, cin)).reshape(f, f, cout, cin).transpose(0, 1, 3, 2)
+    dx = _matmul(kernels.transpose(2, 0, 1, 3).reshape(cin, f * f * cout), d)
     return (
         dx.T.reshape(h, w, cin).astype(np.float32, copy=False),
         d_kernels.astype(np.float32, copy=False),

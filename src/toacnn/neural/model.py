@@ -13,6 +13,7 @@ import numpy as np
 from .layers import (
     conv2d_backward,
     conv2d_forward,
+    conv2d_param_grads,
     dense_backward,
     dense_forward,
     maxpool_backward,
@@ -109,10 +110,13 @@ def backward(
     caches: list,
     d_out: np.ndarray,
 ) -> list[np.ndarray]:
-    """Gradient of the scalar loss w.r.t. every parameter, given dL/d(output)."""
+    """Gradient of the scalar loss w.r.t. every parameter, given dL/d(output).
+
+    The first op is a conv on the input image, so it gets no input gradient.
+    """
     grads: list[np.ndarray | None] = [None] * len(params)
     d = np.asarray(d_out, dtype=np.float32)
-    for (kind, _, p, aux), cache in zip(reversed(_plan(profile)), reversed(caches)):
+    for (kind, _, p, aux), cache in zip(reversed(_plan(profile)[1:]), reversed(caches[1:])):
         if kind == "conv":
             d, grads[p], grads[p + 1] = conv2d_backward(cache, d)
         elif kind == "relu":
@@ -125,6 +129,7 @@ def backward(
             d, grads[p], grads[p + 1] = dense_backward(cache, d)
         else:
             d, grads[p], grads[p + 1] = tconv_backward(cache, d)
+    grads[0], grads[1] = conv2d_param_grads(caches[0], d)
     return grads
 
 

@@ -1,10 +1,18 @@
-"""Layer forward oracles and finite-difference checks of every backward."""
+"""Layer forward oracles, finite-difference checks of every backward, and the
+row-split products with their helper thread."""
+
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from _gradcheck import fd_grad, rel_err, scalar_fd
 from numpy.lib.stride_tricks import sliding_window_view
 
+import toacnn
+from toacnn.neural import layers
 from toacnn.neural.layers import (
     conv2d_backward,
     conv2d_forward,
@@ -18,6 +26,8 @@ from toacnn.neural.layers import (
     tconv_backward,
     tconv_forward,
 )
+from toacnn.neural.model import backward, forward, init_params
+from toacnn.neural.profile import full_profile, small_profile
 
 TOL = 1e-3
 
@@ -330,3 +340,62 @@ class TestMse:
         t = rand(rng, 4, 5, 1)
         _, grad = mse_loss(p, t)
         assert rel_err(grad, scalar_fd(lambda v: mse_loss(v, t)[0], p)) < TOL
+
+
+def product_operands(monkeypatch, profile):
+    """(a, b) of every split-capable product in one forward and backward."""
+    rng = np.random.default_rng(11)
+    side = profile.input_size
+    x = (rng.uniform(0, 1, (side, side, 1)) > 0.5).astype(np.float32)
+    calls = []
+    whole = layers._matmul
+    monkeypatch.setattr(layers, "_matmul", lambda a, b: calls.append((a, b)) or whole(a, b))
+    params = init_params(profile, 5)
+    out, caches = forward(profile, params, x)
+    backward(profile, params, caches, rand(rng, *out.shape))
+    monkeypatch.undo()
+    return calls
+
+
+class TestSplitProduct:
+    @pytest.mark.parametrize("profile", [full_profile(64), small_profile(64)], ids=["full", "small"])
+    def test_split_equals_whole_bitwise_on_every_product(self, monkeypatch, profile):
+        calls = product_operands(monkeypatch, profile)
+        # no input-gradient product for the first conv
+        assert len(calls) == 3 * len(profile.encoder) - 1 + 3 * len(profile.decoder)
+        for a, b in calls:
+            for rows in (a, a[1:]):  # both row-count parities
+                assert layers._matmul(rows, b).tobytes() == (rows @ b).tobytes()
+
+    def test_only_large_full_profile_products_split(self, monkeypatch):
+        sizes = [a.shape[0] * a.shape[1] * b.shape[1]
+                 for p in (full_profile(64), small_profile(64))
+                 for a, b in product_operands(monkeypatch, p)]
+        # enc1, enc2, dec0 and dec1 of the full profile: three products each
+        assert sum(s >= layers._SPLIT_MIN_MACS for s in sizes) == 12
+
+    def test_import_starts_no_thread(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(toacnn.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = "import threading, toacnn.cli; print(threading.active_count())"
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1"]
+
+    def test_forked_child_starts_its_own_helper(self):
+        rng = np.random.default_rng(12)
+        a, b = rand(rng, 512, 256), rand(rng, 256, 512)
+        layers._matmul(a, b)
+        assert layers._helper is not None
+        child = multiprocessing.get_context("fork").Process(target=_split_in_child, args=(a, b))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+
+
+def _split_in_child(a, b):
+    sys.exit(0 if layers._matmul(a, b).tobytes() == (a @ b).tobytes() else 1)

@@ -10,8 +10,9 @@ import pytest
 import toacnn
 from toacnn.errors import TrainingDiverged
 from toacnn.fem import DensityField
+from toacnn.neural import layers
 from toacnn.neural.model import init_params
-from toacnn.neural.profile import NetworkProfile
+from toacnn.neural.profile import NetworkProfile, full_profile
 from toacnn.neural.training import AdamState, TrainConfig, adam_step, infer, train
 
 PROFILE = NetworkProfile(
@@ -186,6 +187,18 @@ def test_small_checkpoint_does_not_depend_on_blas_thread_count():
         outputs.append(proc.stdout)
     assert len(outputs[0].split()) == 1
     assert outputs[0] == outputs[1]
+
+
+def test_full_profile_step_does_not_depend_on_the_split(monkeypatch):
+    # one Adam step over a batch of two samples, with and without the
+    # helper thread taking half of the large products
+    profile = full_profile(64)
+    samples = samples_for(profile, 2, seed=4)
+    cfg = TrainConfig(epochs=1, lr=1e-3, seed=5, batch_size=2)
+    split, _ = train(profile, samples, cfg)
+    monkeypatch.setattr(layers, "_matmul", np.matmul)
+    whole, _ = train(profile, samples, cfg)
+    assert [p.tobytes() for p in split.params] == [p.tobytes() for p in whole.params]
 
 
 class TestInfer:
