@@ -8,45 +8,37 @@ optimality-criteria updates. Runs until the max density change drops below
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .fem import (
     DensityField,
-    Grid,
     LinearSystem,
-    Material,
     assemble_stiffness,
     compliance,
     element_stiffness,
     solve_spd,
 )
-from .optimize import OptResult, build_filter, oc_update, sensitivity_filter
+from .optimize import OptResult, SimpConfig, build_filter, oc_update, optimize, sensitivity_filter
 
 
 @dataclass(frozen=True)
-class CantileverConfig:
-    nelx: int = 100
-    nely: int = 100
-    vf: float = 0.5
-    penal: float = 3.0
-    rmin: float = 2.4
-    move: float = 0.2
+class CantileverConfig(SimpConfig):
+    objective_name: ClassVar[str] = "compliance"
+
     max_iters: int = 200
     change_tol: float = 0.01
     load_magnitude: float = 1.0
-    material: Material = field(default_factory=Material)
 
     def __post_init__(self):
-        if not (0.0 < self.vf < 1.0):
-            raise ValueError(f"vf must lie in (0, 1), got {self.vf}")
+        super().__post_init__()
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
-    @property
-    def grid(self) -> Grid:
-        return Grid(self.nelx, self.nely)
+    def evaluate(self, rho: DensityField) -> float:
+        return evaluate_cantilever(rho, self)
 
 
 def cantilever_system(cfg: CantileverConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -78,22 +70,14 @@ def solve_cantilever(cfg: CantileverConfig) -> OptResult:
     f, fixed = cantilever_system(cfg)
     dv = np.ones(grid.n_elements)
 
-    rho = np.full(grid.n_elements, cfg.vf)
-    history: list[tuple[float, float]] = []
-    iters = 0
-    for iters in range(1, cfg.max_iters + 1):
+    def step(rho: np.ndarray, it: int) -> tuple[float, np.ndarray]:
         rho_field = DensityField(grid, rho)
         k = assemble_stiffness(rho_field, cfg.penal, mat, ke)
         u = solve_spd(LinearSystem(k, f, fixed))
         c, ce = compliance(u, rho_field, cfg.penal, mat, ke)
         dc = -cfg.penal * rho ** (cfg.penal - 1.0) * (mat.e0 - mat.emin) * ce
         dc = sensitivity_filter(rho, dc, kernel)
-        rho_new = oc_update(rho, dc, dv, cfg.vf, cfg.move)
-        change = float(np.abs(rho_new - rho).max())
-        rho = rho_new
-        history.append((c, change))
-        if change < cfg.change_tol:
-            break
+        return c, oc_update(rho, dc, dv, cfg.vf, cfg.move)
 
-    final = DensityField(grid, rho)
-    return OptResult(final, evaluate_cantilever(final, cfg), iters, history)
+    rho = np.full(grid.n_elements, cfg.vf)
+    return optimize(cfg, rho, step, cfg.max_iters, cfg.change_tol)

@@ -7,17 +7,18 @@ format problems, 4 numeric failures (solver accuracy, divergence).
 
 Environment: TOACNN_SEED seeds training when --seed is not given (default
 42); TOACNN_THREADS caps dataset-generation parallelism (default 1, which
-is the strict deterministic mode).
+is the strict deterministic mode). A value that is not an integer is a
+usage error of the subcommand that reads it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
-from .cantilever import CantileverConfig
 from .dataset import (
     PROBLEMS,
     atomic_write,
@@ -29,25 +30,13 @@ from .dataset import (
 )
 from .errors import FormatError, SolverFailure, TrainingDiverged
 from .metrics import eval_report, render_report, write_report
-from .microstructure import MicroConfig
 from .neural.checkpoint import load_checkpoint_file, save_checkpoint_file
 from .neural.profile import NetworkProfile, full_profile, small_profile
 from .neural.training import TrainConfig, infer, train
-from .pressure import PressureConfig
 
-_OBJECTIVE_NAME = {
-    "cantilever": "compliance",
-    "arch": "compliance",
-    "micro": "bulk_modulus",
-}
-
-
-def _env_seed() -> int:
-    return int(os.environ.get("TOACNN_SEED", "42"))
-
-
-def _env_threads() -> int:
-    return int(os.environ.get("TOACNN_THREADS", "1"))
+# Config fields set by a flag of another name. vf never comes from a flag:
+# solve passes its --vf, gen sweeps it, and eval's --vf is a list.
+_FIELD_FLAGS = {"max_iters": "maxit", "change_tol": "tol"}
 
 
 def _add_physics_args(p: argparse.ArgumentParser) -> None:
@@ -71,22 +60,16 @@ def _add_physics_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_problem_config(args, vf: float | None = None):
-    """Translate parsed physics flags into the problem's config dataclass."""
-    common = dict(nelx=args.nelx, nely=args.nely, penal=args.penal,
-                  rmin=args.rmin, move=args.move)
-    if vf is not None:
-        common["vf"] = vf
-    if args.problem == "cantilever":
-        if args.maxit is not None:
-            common["max_iters"] = args.maxit
-        return CantileverConfig(change_tol=args.tol, **common)
-    if args.problem == "micro":
-        if args.maxit is not None:
-            common["max_iters"] = args.maxit
-        return MicroConfig(change_tol=args.tol, **common)
-    if args.maxit is not None:
-        common["maxit"] = args.maxit
-    return PressureConfig(etaf=args.etaf, betaf=args.betaf, lst=args.lst, **common)
+    """Translate parsed physics flags into the problem's config dataclass;
+    a field whose flag is unset (or absent) keeps the config's default."""
+    cfg_type = PROBLEMS[args.problem][0]
+    flags = vars(args)
+    kwargs = {}
+    for f in dataclasses.fields(cfg_type):
+        value = vf if f.name == "vf" else flags.get(_FIELD_FLAGS.get(f.name, f.name))
+        if value is not None:
+            kwargs[f.name] = value
+    return cfg_type(**kwargs)
 
 
 def _load_profile(args) -> NetworkProfile:
@@ -110,7 +93,7 @@ def cmd_solve(args) -> int:
         "vf": cfg.vf,
         "nelx": cfg.nelx,
         "nely": cfg.nely,
-        "objective_name": _OBJECTIVE_NAME[args.problem],
+        "objective_name": cfg.objective_name,
         "objective": result.objective,
         "iterations": result.iterations,
         "achieved_vf": float(result.field.values.mean()),
@@ -119,7 +102,7 @@ def cmd_solve(args) -> int:
     stem, _ = os.path.splitext(args.out)
     atomic_write(stem + ".json",
                   (json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n").encode())
-    print(f"{_OBJECTIVE_NAME[args.problem]} {result.objective:.6g}")
+    print(f"{cfg.objective_name} {result.objective:.6g}")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
@@ -217,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vf-start", type=float, default=0.01, help="sweep start")
     p.add_argument("--vf-stop", type=float, default=0.95, help="sweep end, inclusive")
     p.add_argument("--vf-step", type=float, default=0.01, help="sweep spacing")
-    p.add_argument("--threads", type=int, default=_env_threads(),
+    p.add_argument("--threads", type=int, default=os.environ.get("TOACNN_THREADS", "1"),
                    help="parallel solves (TOACNN_THREADS)")
     p.set_defaults(func=cmd_gen)
 
@@ -234,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=2000, help="training epochs")
     p.add_argument("--lr", type=float, default=1e-4, help="Adam learning rate")
     p.add_argument("--batch-size", type=int, default=1, help="samples per update")
-    p.add_argument("--seed", type=int, default=_env_seed(),
+    p.add_argument("--seed", type=int, default=os.environ.get("TOACNN_SEED", "42"),
                    help="init/shuffle seed (TOACNN_SEED)")
     p.set_defaults(func=cmd_train)
 

@@ -239,6 +239,8 @@ def generate_dataset(
     tags = [f"{round(v * 100):03d}" for v in vfs]
     if len(set(tags)) != len(tags):
         raise ValueError("vf grid collides at 0.01 file-name resolution")
+    # every sweep config is checked before the first solve writes a file
+    run_cfgs = [dataclasses.replace(cfg, vf=v) for v in vfs]
     fingerprint = config_fingerprint(problem, cfg)
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
@@ -258,10 +260,10 @@ def generate_dataset(
         except FormatError:
             pass  # unreadable manifest: regenerate everything
 
-    def run_one(vf: float, tag: str) -> ManifestRecord:
+    def run_one(run_cfg, tag: str) -> ManifestRecord:
+        vf = run_cfg.vf
         if vf in done:
             return done[vf]
-        run_cfg = dataclasses.replace(cfg, vf=vf)
         grid = run_cfg.grid
         input_name = f"input_{tag}.pgm"
         target_name = f"target_{tag}.pgm"
@@ -285,9 +287,9 @@ def generate_dataset(
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run_one, vfs, tags))
+            records = list(pool.map(run_one, run_cfgs, tags))
     else:
-        records = [run_one(v, t) for v, t in zip(vfs, tags)]
+        records = [run_one(c, t) for c, t in zip(run_cfgs, tags)]
 
     # a resume that changed nothing leaves the manifest's inode and mtime alone
     try:

@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .cantilever import CantileverConfig, evaluate_cantilever
 from .dataset import (
     ManifestRecord,
     atomic_write,
@@ -25,16 +24,9 @@ from .dataset import (
 )
 from .errors import FormatError, ToacnnError
 from .fem import DensityField
-from .microstructure import MicroConfig, evaluate_micro
 from .neural.checkpoint import Checkpoint
 from .neural.training import infer
-from .pressure import PressureConfig, evaluate_arch
-
-_EVALUATORS = {
-    CantileverConfig: evaluate_cantilever,
-    PressureConfig: evaluate_arch,
-    MicroConfig: evaluate_micro,
-}
+from .optimize import SimpConfig
 
 
 def volume_error(pred: DensityField, target: DensityField) -> float:
@@ -47,19 +39,12 @@ def volume_error(pred: DensityField, target: DensityField) -> float:
     return 100.0 * abs(float(pred.values.mean()) - mt) / mt
 
 
-def evaluate_design(rho: DensityField, cfg) -> float:
-    """Objective of a design under the problem the config describes."""
-    try:
-        evaluator = _EVALUATORS[type(cfg)]
-    except KeyError:
-        raise ValueError(f"no evaluator for config type {type(cfg).__name__}") from None
-    return evaluator(rho, cfg)
-
-
-def objective_error(pred: DensityField, target: DensityField, cfg) -> float:
+def objective_error(pred: DensityField, target: DensityField, cfg: SimpConfig) -> float:
     """100 |obj(pred) - obj(target)| / |obj(target)|, same evaluator for both."""
-    op = evaluate_design(pred, cfg)
-    ot = evaluate_design(target, cfg)
+    if not isinstance(cfg, SimpConfig):
+        raise ValueError(f"no evaluator for config type {type(cfg).__name__}")
+    op = cfg.evaluate(pred)
+    ot = cfg.evaluate(target)
     if ot == 0.0:
         raise ValueError("target objective is zero; relative error undefined")
     return 100.0 * abs(op - ot) / abs(ot)
@@ -111,16 +96,16 @@ def _find_record(records: list[ManifestRecord], vf: float) -> ManifestRecord | N
 def eval_report(
     checkpoints: dict[int, Checkpoint],
     manifest_path: str,
-    cfg,
+    cfg: SimpConfig,
     vfs: Sequence[float],
-    ns: Sequence[int] | None = None,
 ) -> list[EvalRecord]:
-    """EvalRecord for every (vf, n) pair, vf-major, never raising per cell.
+    """EvalRecord for every vf and checkpoint, vf-major and in ascending
+    adaptive width, never raising per cell.
 
     The manifest's config fingerprint must match ``cfg`` so predictions are
     scored against targets produced by the same physics; a mismatch raises
-    FormatError up front. A missing checkpoint, a vf absent from the
-    manifest, or an evaluator failure each turn into a per-record error.
+    FormatError up front. A vf absent from the manifest or an evaluator
+    failure turns into a per-record error.
     """
     for n, ck in checkpoints.items():
         if ck.profile.adaptive_units != n:
@@ -137,13 +122,11 @@ def eval_report(
             "the dataset or evaluate with the matching config"
         )
     base = os.path.dirname(os.path.abspath(manifest_path))
-    if ns is None:
-        ns = sorted(checkpoints)
 
     target_cache: dict[float, tuple[DensityField, float]] = {}
     out: list[EvalRecord] = []
     for vf in vfs:
-        for n in ns:
+        for n in sorted(checkpoints):
             def fail(msg: str) -> EvalRecord:
                 return EvalRecord(problem, vf, n, None, None, None, None, error=msg)
 
@@ -154,24 +137,20 @@ def eval_report(
             if rec.error is not None:
                 out.append(fail(f"target generation failed: {rec.error}"))
                 continue
-            ck = checkpoints.get(n)
-            if ck is None:
-                out.append(fail("checkpoint absent"))
-                continue
             try:
                 if vf not in target_cache:
                     field = DensityField.from_image(
                         read_pgm_file(os.path.join(base, rec.target))
                     )
-                    target_cache[vf] = (field, evaluate_design(field, cfg))
+                    target_cache[vf] = (field, cfg.evaluate(field))
                 target, obj_t = target_cache[vf]
-                pred = infer(ck, vf)
+                pred = infer(checkpoints[n], vf)
                 if pred.grid != target.grid:
                     out.append(fail(
                         f"prediction grid {pred.grid} does not match target {target.grid}"
                     ))
                     continue
-                obj_p = evaluate_design(pred, cfg)
+                obj_p = cfg.evaluate(pred)
                 ve = volume_error(pred, target)
                 oe = 100.0 * abs(obj_p - obj_t) / abs(obj_t)
                 if not all(np.isfinite([ve, oe, obj_p, obj_t])):

@@ -10,8 +10,9 @@ sum is OC-compatible because that objective is monotone in every density.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .fem import (
     simp_moduli,
     solve_many,
 )
-from .optimize import OptResult, build_filter, oc_update, sensitivity_filter
+from .optimize import OptResult, SimpConfig, build_filter, oc_update, optimize, sensitivity_filter
 
 
 @lru_cache(maxsize=None)
@@ -130,26 +131,19 @@ def bulk_objective(
 
 
 @dataclass(frozen=True)
-class MicroConfig:
-    nelx: int = 100
-    nely: int = 100
-    vf: float = 0.5
-    penal: float = 3.0
-    rmin: float = 2.4
-    move: float = 0.2
+class MicroConfig(SimpConfig):
+    objective_name: ClassVar[str] = "bulk_modulus"
+
     max_iters: int = 200
     change_tol: float = 0.01
-    material: Material = field(default_factory=Material)
 
     def __post_init__(self):
-        if not (0.0 < self.vf < 1.0):
-            raise ValueError(f"vf must lie in (0, 1), got {self.vf}")
+        super().__post_init__()
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
-    @property
-    def grid(self) -> Grid:
-        return Grid(self.nelx, self.nely)
+    def evaluate(self, rho: DensityField) -> float:
+        return evaluate_micro(rho, self)
 
 
 def micro_seed_field(cfg: MicroConfig) -> DensityField:
@@ -180,19 +174,10 @@ def solve_micro(cfg: MicroConfig) -> OptResult:
     kernel = build_filter(grid, cfg.rmin)
     dv = np.ones(grid.n_elements)
 
-    rho = micro_seed_field(cfg).values.copy()
-    history: list[tuple[float, float]] = []
-    iters = 0
-    for iters in range(1, cfg.max_iters + 1):
-        rho_field = DensityField(grid, rho)
-        obj, dc = bulk_objective(rho_field, cfg.penal, cfg.material)
+    def step(rho: np.ndarray, it: int) -> tuple[float, np.ndarray]:
+        obj, dc = bulk_objective(DensityField(grid, rho), cfg.penal, cfg.material)
         dc = sensitivity_filter(rho, dc, kernel)
-        rho_new = oc_update(rho, dc, dv, cfg.vf, cfg.move)
-        change = float(np.abs(rho_new - rho).max())
-        rho = rho_new
-        history.append((-obj / 4.0, change))
-        if change < cfg.change_tol:
-            break
+        return -obj / 4.0, oc_update(rho, dc, dv, cfg.vf, cfg.move)
 
-    final = DensityField(grid, rho)
-    return OptResult(final, evaluate_micro(final, cfg), iters, history)
+    rho = micro_seed_field(cfg).values.copy()
+    return optimize(cfg, rho, step, cfg.max_iters, cfg.change_tol)

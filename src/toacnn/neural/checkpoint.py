@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..dataset import atomic_write
 from ..errors import FormatError
 from .profile import NetworkProfile
 
@@ -105,18 +104,7 @@ def load_checkpoint(data: bytes) -> Checkpoint:
 
 def save_checkpoint_file(ck: Checkpoint, path: str) -> None:
     """Atomic write: temp file in the target directory, then rename."""
-    data = save_checkpoint(ck)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, save_checkpoint(ck))
 
 
 def load_checkpoint_file(path: str) -> Checkpoint:

@@ -20,9 +20,6 @@ from .profile import NetworkProfile
 class TrainConfig:
     epochs: int = 2000
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 42
     batch_size: int = 1
 
@@ -33,6 +30,10 @@ class TrainConfig:
             raise ValueError(f"lr must be positive, got {self.lr}")
 
 
+# Adam moment decay rates and the denominator guard.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 # Elements per Adam chunk: six float32 chunks (g, m, v, p and two scratch
 # buffers) take 768 KB, which fits a core's L2 cache.
 _ADAM_CHUNK = 1 << 15
@@ -59,9 +60,6 @@ def adam_step(
     params: list[np.ndarray],
     grads: list[np.ndarray],
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """One bias-corrected Adam update, in place on params and state.
 
@@ -69,12 +67,13 @@ def adam_step(
     stays in cache through every step. Each chunk sees the float32 operations
     of ``m = beta1 * m + (1 - beta1) * g``, ``v = beta2 * v + (1 - beta2) *
     (g * g)`` and ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` in their
-    order, so the result is bit for bit that of these expressions, without
-    their full-size temporaries.
+    order, with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8, so the result is
+    bit for bit that of these expressions, without their full-size
+    temporaries.
     """
     state.t += 1
-    c1 = 1.0 - beta1**state.t
-    c2 = 1.0 - beta2**state.t
+    c1 = 1.0 - _BETA1**state.t
+    c2 = 1.0 - _BETA2**state.t
     buf_a = np.empty(_ADAM_CHUNK, dtype=np.float32)
     buf_b = np.empty(_ADAM_CHUNK, dtype=np.float32)
     for i, g in enumerate(grads):
@@ -88,18 +87,18 @@ def adam_step(
             for gc, m, v, p in it:
                 a = buf_a[: gc.size]
                 b = buf_b[: gc.size]
-                np.multiply(m, beta1, out=m)
-                np.multiply(gc, 1.0 - beta1, out=a)
+                np.multiply(m, _BETA1, out=m)
+                np.multiply(gc, 1.0 - _BETA1, out=a)
                 m += a
-                np.multiply(v, beta2, out=v)
+                np.multiply(v, _BETA2, out=v)
                 np.multiply(gc, gc, out=a)
-                a *= 1.0 - beta2
+                a *= 1.0 - _BETA2
                 v += a
                 np.divide(m, c1, out=a)
                 a *= lr
                 np.divide(v, c2, out=b)
                 np.sqrt(b, out=b)
-                b += eps
+                b += _EPS
                 a /= b
                 p -= a
 
@@ -155,7 +154,7 @@ def train(
                 scale = np.float32(1.0 / len(batch))
                 for g in acc:
                     g *= scale
-            adam_step(state, params, acc, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+            adam_step(state, params, acc, cfg.lr)
         history.append(float(np.mean(epoch_losses)))
 
     ck = Checkpoint(

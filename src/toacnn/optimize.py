@@ -1,8 +1,18 @@
-"""Density-update machinery shared by the solvers.
+"""The problem interface and density-update machinery shared by the solvers.
 
-Covers the cone filter on sensitivities, the optimality-criteria update with
-volume bisection, a single-constraint method-of-moving-asymptotes step, and
-the smoothed Heaviside projection. All functions are pure numpy and
+``SimpConfig`` is the base of every problem config: the grid, target volume
+fraction, SIMP penalty, filter radius, move limit and material, plus the
+problem's objective name and its ``evaluate`` re-analysis. ``optimize`` is
+the one optimizer loop: each problem hands it a starting field and a
+``step`` closure that analyzes a design and returns its objective and the
+updated densities; the driver tracks the max change, the history and the
+stop rule, and re-analyzes the final design. The analysis, filter and update
+calls stay inside each problem's ``step``: the benchmark tracer
+(``perfbench/tracing.py``) times them where each problem module looks them up.
+
+Also here: the cone filter on sensitivities, the optimality-criteria update
+with volume bisection, a single-constraint method-of-moving-asymptotes step,
+and the smoothed Heaviside projection. All functions are pure numpy and
 deterministic; density vectors use the flat row-major element order from
 :mod:`toacnn.fem`.
 """
@@ -10,12 +20,13 @@ deterministic; density vectors use the flat row-major element order from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import DensityField, Grid
+from .fem import DensityField, Grid, Material
 
 # MMA constants: initial asymptote span, adaptation factors, bound offset,
 # and the small positive term that keeps the objective approximation strictly
@@ -26,6 +37,8 @@ _ASYINCR = 1.2
 _ASYDECR = 0.7
 _ALBEFA = 0.1
 _RAA0 = 1e-5
+# Floor on the density in the sensitivity filter's denominator.
+_FILTER_GAMMA = 1e-3
 # Elastic penalty on constraint violation; caps the dual multiplier so an
 # infeasible subproblem (possible only from an infeasible iterate, where the
 # move box cannot restore feasibility in one step) degrades into the largest
@@ -40,7 +53,7 @@ class OptResult:
     ``history`` holds one ``(objective, change)`` pair per iteration, where
     ``objective`` is the value analyzed at the start of that iteration and
     ``change`` the max density move applied at its end. ``objective`` is the
-    final design re-analyzed through the matching evaluate function, so
+    final design re-analyzed through its config's ``evaluate``, so
     evaluating the returned field reproduces it exactly.
     """
 
@@ -48,6 +61,62 @@ class OptResult:
     objective: float
     iterations: int
     history: list[tuple[float, float]]
+
+
+@dataclass(frozen=True)
+class SimpConfig:
+    """Fields every problem shares; subclasses add their own after these.
+
+    A subclass sets ``objective_name`` and implements ``evaluate``.
+    """
+
+    objective_name: ClassVar[str]
+
+    nelx: int = 100
+    nely: int = 100
+    vf: float = 0.5
+    penal: float = 3.0
+    rmin: float = 2.4
+    move: float = 0.2
+    material: Material = field(default_factory=Material)
+
+    def __post_init__(self):
+        if not (0.0 < self.vf < 1.0):
+            raise ValueError(f"vf must lie in (0, 1), got {self.vf}")
+
+    @property
+    def grid(self) -> Grid:
+        return Grid(self.nelx, self.nely)
+
+    def evaluate(self, rho: DensityField) -> float:
+        """The problem's objective for a given design."""
+        raise NotImplementedError
+
+
+def optimize(
+    cfg: SimpConfig,
+    rho: np.ndarray,
+    step: Callable[[np.ndarray, int], tuple[float, np.ndarray]],
+    max_iters: int,
+    change_tol: float = 0.0,
+) -> OptResult:
+    """Run ``step(rho, iteration)`` -> (objective, new rho) from ``rho``.
+
+    Stops after ``max_iters`` iterations or once the max density change
+    falls below ``change_tol`` (never, at the default 0), then re-analyzes
+    the final design with ``cfg.evaluate``. ``iteration`` is 1-based.
+    """
+    history: list[tuple[float, float]] = []
+    iters = 0
+    for iters in range(1, max_iters + 1):
+        obj, rho_new = step(rho, iters)
+        change = float(np.abs(rho_new - rho).max())
+        rho = rho_new
+        history.append((obj, change))
+        if change < change_tol:
+            break
+    final = DensityField(cfg.grid, rho)
+    return OptResult(final, cfg.evaluate(final), iters, history)
 
 
 @dataclass(frozen=True)
@@ -92,18 +161,13 @@ def build_filter(grid: Grid, rmin: float) -> FilterKernel:
     return FilterKernel(rmin, w, np.asarray(w.sum(axis=1)).ravel())
 
 
-def sensitivity_filter(
-    rho: np.ndarray,
-    dc: np.ndarray,
-    kernel: FilterKernel,
-    gamma: float = 1e-3,
-) -> np.ndarray:
+def sensitivity_filter(rho: np.ndarray, dc: np.ndarray, kernel: FilterKernel) -> np.ndarray:
     """Density-weighted cone smoothing of a sensitivity field.
 
     dc_hat_e = sum_j w_ej rho_j dc_j / (max(gamma, rho_e) * sum_j w_ej);
-    gamma guards the division where the density reaches zero.
+    gamma = 1e-3 guards the division where the density reaches zero.
     """
-    return (kernel.weights @ (rho * dc)) / (np.maximum(gamma, rho) * kernel.weight_sums)
+    return (kernel.weights @ (rho * dc)) / (np.maximum(_FILTER_GAMMA, rho) * kernel.weight_sums)
 
 
 def oc_update(
@@ -172,7 +236,6 @@ def mma_update(
     dconstraint: np.ndarray,
     iteration: int,
     move: float = 0.2,
-    bounds: tuple[float, float] = (0.0, 1.0),
 ) -> tuple[np.ndarray, MmaState]:
     """One moving-asymptotes step for a single inequality constraint <= 0.
 
@@ -180,19 +243,18 @@ def mma_update(
     the dual is one-dimensional and the primal minimizer has a closed form
     per element, so a bisection on the multiplier drives the KKT residual to
     the 1e-9 contract. ``iteration`` is 1-based; the first two iterations use
-    the fixed initial asymptote span.
+    the fixed initial asymptote span. Densities live in [0, 1], so the
+    variable range is 1 and drops out of every asymptote and move term.
     """
     if not (np.all(np.isfinite(dobj)) and np.all(np.isfinite(dconstraint))):
         raise ValueError("non-finite gradients passed to mma_update")
     if not math.isfinite(constraint):
         raise ValueError("non-finite constraint value passed to mma_update")
-    xmin, xmax = bounds
-    xrange = xmax - xmin
     n = rho.size
 
     if iteration <= 2 or state.xold1 is None or state.xold2 is None:
-        low = rho - _ASYINIT * xrange
-        upp = rho + _ASYINIT * xrange
+        low = rho - _ASYINIT
+        upp = rho + _ASYINIT
     else:
         zzz = (rho - state.xold1) * (state.xold1 - state.xold2)
         factor = np.ones(n)
@@ -200,11 +262,11 @@ def mma_update(
         factor[zzz < 0.0] = _ASYDECR
         low = rho - factor * (state.xold1 - state.low)
         upp = rho + factor * (state.upp - state.xold1)
-        low = np.clip(low, rho - 10.0 * xrange, rho - 0.01 * xrange)
-        upp = np.clip(upp, rho + 0.01 * xrange, rho + 10.0 * xrange)
+        low = np.clip(low, rho - 10.0, rho - 0.01)
+        upp = np.clip(upp, rho + 0.01, rho + 10.0)
 
-    alfa = np.maximum(np.maximum(xmin, low + _ALBEFA * (rho - low)), rho - move * xrange)
-    beta = np.minimum(np.minimum(xmax, upp - _ALBEFA * (upp - rho)), rho + move * xrange)
+    alfa = np.maximum(np.maximum(0.0, low + _ALBEFA * (rho - low)), rho - move)
+    beta = np.minimum(np.minimum(1.0, upp - _ALBEFA * (upp - rho)), rho + move)
 
     ux1 = upp - rho
     xl1 = rho - low
@@ -214,8 +276,8 @@ def mma_update(
     om = np.maximum(-dobj, 0.0)
     cp = np.maximum(dconstraint, 0.0)
     cm = np.maximum(-dconstraint, 0.0)
-    p0 = (1.001 * op + 0.001 * om + _RAA0 / xrange) * ux2
-    q0 = (0.001 * op + 1.001 * om + _RAA0 / xrange) * xl2
+    p0 = (1.001 * op + 0.001 * om + _RAA0) * ux2
+    q0 = (0.001 * op + 1.001 * om + _RAA0) * xl2
     pc = (1.001 * cp + 0.001 * cm) * ux2
     qc = (0.001 * cp + 1.001 * cm) * xl2
     b = float(np.sum(pc / ux1 + qc / xl1) - constraint)

@@ -11,8 +11,9 @@ the design and its sensitivity needs the adjoint term below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .fem import (
     Factor,
     Grid,
     LinearSystem,
-    Material,
     _shape_gradients,
     assemble_stiffness,
     compliance,
@@ -38,8 +38,10 @@ from .fem import (
 from .optimize import (
     MmaState,
     OptResult,
+    SimpConfig,
     build_filter,
     mma_update,
+    optimize,
     sensitivity_filter,
     smooth_heaviside,
 )
@@ -75,36 +77,30 @@ _LAPLACE, _MASS, _COUPLING = _flow_matrices()
 
 
 @dataclass(frozen=True)
-class PressureConfig:
-    nelx: int = 100
-    nely: int = 100
+class PressureConfig(SimpConfig):
+    objective_name: ClassVar[str] = "compliance"
+
     vf: float = 0.3
-    penal: float = 3.0
-    rmin: float = 2.4
     etaf: float = 0.2
     betaf: float = 8.0
     lst: int = 1  # include the load-sensitivity adjoint term
     maxit: int = 100
-    move: float = 0.2
     p0: float = 1.0
     kmax: float = 1.0
     eps_k: float = 1e-7
     r_d: float = 0.1
     delta_s: float = 2.0
     support_halfwidth: int = 5
-    material: Material = field(default_factory=Material)
 
     def __post_init__(self):
-        if not (0.0 < self.vf < 1.0):
-            raise ValueError(f"vf must lie in (0, 1), got {self.vf}")
+        super().__post_init__()
         if self.lst not in (0, 1):
             raise ValueError(f"lst must be 0 or 1, got {self.lst}")
         if self.maxit < 1:
             raise ValueError("maxit must be at least 1")
 
-    @property
-    def grid(self) -> Grid:
-        return Grid(self.nelx, self.nely)
+    def evaluate(self, rho: DensityField) -> float:
+        return evaluate_arch(rho, self)
 
     @property
     def drainage(self) -> float:
@@ -251,11 +247,11 @@ def solve_arch(cfg: PressureConfig) -> OptResult:
     kernel = build_filter(grid, cfg.rmin)
     supports = arch_supports(cfg)
     n = grid.n_elements
-
-    rho = np.full(n, cfg.vf)
+    dg = np.full(n, 1.0 / (n * cfg.vf))
     state = MmaState()
-    history: list[tuple[float, float]] = []
-    for it in range(1, cfg.maxit + 1):
+
+    def step(rho: np.ndarray, it: int) -> tuple[float, np.ndarray]:
+        nonlocal state
         rho_field = DensityField(grid, rho)
         a = assemble_darcy(rho_field, cfg)
         darcy = pressure_factor(a, grid)
@@ -267,11 +263,7 @@ def solve_arch(cfg: PressureConfig) -> OptResult:
         dc = arch_sensitivities(u, p, rho_field, cfg, ce=ce, darcy=darcy)
         dc = sensitivity_filter(rho, dc, kernel)
         g = float(rho.mean() / cfg.vf - 1.0)
-        dg = np.full(n, 1.0 / (n * cfg.vf))
         rho_new, state = mma_update(state, rho, dc, g, dg, iteration=it, move=cfg.move)
-        change = float(np.abs(rho_new - rho).max())
-        rho = rho_new
-        history.append((c, change))
+        return c, rho_new
 
-    final = DensityField(grid, rho)
-    return OptResult(final, evaluate_arch(final, cfg), cfg.maxit, history)
+    return optimize(cfg, np.full(n, cfg.vf), step, cfg.maxit)

@@ -1,16 +1,20 @@
 """End-to-end command wiring: flags, files, exit codes, stdout contract."""
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from toacnn.cli import build_parser, main
+from toacnn.cantilever import CantileverConfig
+from toacnn.cli import build_parser, build_problem_config, main
 from toacnn.dataset import read_manifest, read_pgm_file
 from toacnn.metrics import read_report
+from toacnn.microstructure import MicroConfig
 from toacnn.neural.checkpoint import Checkpoint, load_checkpoint_file, save_checkpoint_file
 from toacnn.neural.profile import NetworkProfile
+from toacnn.pressure import PressureConfig
 
 
 def tiny_profile():
@@ -309,9 +313,50 @@ class TestParser:
         args = parser.parse_args(["gen", "--problem", "cantilever", "--out", "d"])
         assert args.threads == 2
 
+    @pytest.mark.parametrize("var, argv", [
+        ("TOACNN_SEED", ["train", "--manifest", "m"]),
+        ("TOACNN_THREADS", ["gen", "--problem", "cantilever", "--out", "d"]),
+    ])
+    def test_bad_env_value_is_usage_error(self, var, argv, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv(var, "abc")
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+        # a subcommand that does not read the variable is unaffected
+        rc = main(["infer", "--checkpoint", str(tmp_path / "absent.ckpt"), "--vf", "0.3",
+                   "--out", str(tmp_path / "p.pgm")])
+        assert rc == 3
+        capsys.readouterr()
+
     def test_bad_vf_list_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["eval", *PHYS, "--manifest", "m", "--checkpoint", "c",
                   "--vf", "0.4,oops"])
         assert err.value.code == 2
         capsys.readouterr()
+
+
+class TestProblemConfig:
+    FLAGS = ["--maxit", "7", "--tol", "0.03", "--etaf", "0.3", "--betaf", "5.0", "--lst", "0",
+             "--nelx", "9", "--penal", "3.5", "--rmin", "1.8", "--move", "0.1"]
+    CASES = [
+        ("cantilever", CantileverConfig, dict(max_iters=7, change_tol=0.03)),
+        ("arch", PressureConfig, dict(maxit=7, etaf=0.3, betaf=5.0, lst=0)),
+        ("micro", MicroConfig, dict(max_iters=7, change_tol=0.03)),
+    ]
+
+    @pytest.mark.parametrize("problem, cfg_type, own", CASES, ids=[c[0] for c in CASES])
+    def test_flags_reach_their_fields(self, problem, cfg_type, own):
+        args = build_parser().parse_args(["gen", "--problem", problem, "--out", "d", *self.FLAGS])
+        cfg = build_problem_config(args)
+        # flags the problem has no field for are ignored; vf keeps its default
+        assert cfg == cfg_type(nelx=9, penal=3.5, rmin=1.8, move=0.1, **own)
+        assert build_problem_config(args, vf=0.45) == dataclasses.replace(cfg, vf=0.45)
+
+    @pytest.mark.parametrize("problem, cfg_type, own", CASES, ids=[c[0] for c in CASES])
+    def test_unset_flags_keep_config_defaults(self, problem, cfg_type, own):
+        # eval's --vf is a list and never reaches the config
+        args = build_parser().parse_args(["eval", "--problem", problem, "--manifest", "m",
+                                          "--checkpoint", "c", "--vf", "0.3,0.4"])
+        assert build_problem_config(args) == cfg_type()

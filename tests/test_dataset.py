@@ -11,6 +11,7 @@ from toacnn import dataset as ds
 from toacnn.cantilever import CantileverConfig
 from toacnn.errors import FormatError
 from toacnn.microstructure import MicroConfig
+from toacnn.pressure import PressureConfig
 
 
 class TestInputImage:
@@ -125,6 +126,19 @@ class TestFingerprint:
         monkeypatch.setattr(ds, "SOLVER_REVISION", "older-solver")
         assert ds.config_fingerprint("micro", cfg) != current
 
+    @pytest.mark.parametrize("problem, cfg_type, expected", [
+        ("cantilever", CantileverConfig,
+         "e470b3bf3130b1d1b59e9e34a30cb861e63edbb63ce7cd8f67c965317ea025dd"),
+        ("arch", PressureConfig,
+         "d786e25d73e193d96c3b395a593f552251928a11aeaa7e64fa2afe111f14f3de"),
+        ("micro", MicroConfig,
+         "27a89ea6aaf7db840c4216b58eacd3d4a0f7f5757bc0c662cbb3a7b5c2455884"),
+    ])
+    def test_default_fingerprints_are_pinned(self, problem, cfg_type, expected):
+        # a renamed or retyped config field would orphan every stored dataset
+        assert ds.PROBLEMS[problem][0] is cfg_type
+        assert ds.config_fingerprint(problem, cfg_type()) == expected
+
 
 class TestManifest:
     def make_records(self, fp="f" * 8):
@@ -201,6 +215,17 @@ class TestGenerate:
     def test_config_type_checked(self, tmp_path):
         with pytest.raises(ValueError, match="needs a"):
             ds.generate_dataset("micro", TinyCfg.make(), str(tmp_path))
+
+    def test_out_of_range_sweep_fails_before_any_solve(self, tmp_path, monkeypatch):
+        def never(c):
+            raise AssertionError(f"solved vf {c.vf}")
+
+        monkeypatch.setitem(ds.PROBLEMS, "cantilever", (CantileverConfig, never))
+        out = tmp_path / "data"
+        with pytest.raises(ValueError, match="got 1.0"):
+            ds.generate_dataset("cantilever", TinyCfg.make(), str(out),
+                                vf_start=0.8, vf_stop=1.0, vf_step=0.1)
+        assert not out.exists() or not list(out.glob("*.pgm"))
 
     def test_sweep_writes_files_and_manifest(self, tmp_path):
         out = str(tmp_path / "data")

@@ -137,12 +137,6 @@ class TestEvalReport:
         assert len(recs) == 1
         assert "no manifest sample" in recs[0].error
 
-    def test_absent_checkpoint_recorded_not_fatal(self, tiny_dataset):
-        cfg, manifest = tiny_dataset
-        recs = mx.eval_report({0: gray_checkpoint(0)}, manifest, cfg, [0.3], ns=[0, 7])
-        assert recs[0].error is None
-        assert recs[1].error == "checkpoint absent"
-
     def test_config_drift_rejected(self, tiny_dataset):
         _, manifest = tiny_dataset
         drifted = CantileverConfig(nelx=8, nely=8, max_iters=6, penal=3.5)

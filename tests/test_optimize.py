@@ -1,6 +1,9 @@
-"""Filter weights, OC volume control, MMA step, projection."""
+"""The problem interface and driver, filter weights, OC volume control, MMA
+step, projection."""
 
 import math
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -16,12 +19,50 @@ from toacnn.optimize import (
     _RAA0,
     FilterKernel,
     MmaState,
+    SimpConfig,
     build_filter,
     mma_update,
     oc_update,
+    optimize,
     sensitivity_filter,
     smooth_heaviside,
 )
+
+
+@dataclass(frozen=True)
+class MeanConfig(SimpConfig):
+    """A toy problem: the objective is the mean density."""
+
+    objective_name: ClassVar[str] = "mean"
+
+    def evaluate(self, rho):
+        return float(rho.values.mean())
+
+
+class TestDriver:
+    def test_history_stop_rule_and_final_reanalysis(self):
+        seen = []
+
+        def step(rho, it):
+            seen.append(it)
+            return float(rho.sum()), 0.5 * rho
+
+        res = optimize(MeanConfig(nelx=2, nely=2), np.ones(4), step, 10, change_tol=0.2)
+        assert seen == [1, 2, 3]  # changes 0.5, 0.25, 0.125
+        assert res.iterations == 3
+        assert res.history == [(4.0, 0.5), (2.0, 0.25), (1.0, 0.125)]
+        assert res.field.grid == Grid(2, 2)
+        assert res.objective == 0.125
+
+    def test_zero_tolerance_runs_every_iteration(self):
+        res = optimize(MeanConfig(nelx=2, nely=2), np.ones(4), lambda r, it: (0.0, r), 4)
+        assert res.iterations == 4
+        assert [c for _, c in res.history] == [0.0] * 4
+
+    @pytest.mark.parametrize("vf", [0.0, 1.0])
+    def test_base_config_checks_vf(self, vf):
+        with pytest.raises(ValueError, match="vf must lie in"):
+            MeanConfig(vf=vf)
 
 
 def brute_force_weights(grid, rmin):
