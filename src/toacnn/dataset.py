@@ -84,13 +84,15 @@ def read_pgm(data: bytes) -> np.ndarray:
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         token = data[start:pos]
-        if not token.isdigit():
-            raise FormatError(f"bad PGM header token {token!r}")
+        if not token.isdigit() or len(token) > 9:
+            raise FormatError(f"bad PGM header token {token[:20]!r}")
         fields.append(int(token))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
     if maxval != 255:
         raise FormatError(f"unsupported PGM maxval {maxval}")
+    if w == 0 or h == 0:
+        raise FormatError(f"PGM image is {w}x{h}, with no pixels")
     if len(data) - pos != w * h:
         raise FormatError(f"PGM payload has {len(data) - pos} bytes, expected {w * h}")
     raw = np.frombuffer(data[pos:], dtype=np.uint8).reshape(h, w)
@@ -140,9 +142,16 @@ class ManifestRecord:
         return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, line: str) -> "ManifestRecord":
+    def from_json(cls, line: str | bytes) -> "ManifestRecord":
+        """One record from a manifest line; bytes are decoded here, so a
+        line that is not UTF-8 is malformed like any other."""
         try:
-            d = json.loads(line)
+            d = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+            if not isinstance(d, dict) or not all(
+                isinstance(d.get(k), (str, type(None)))
+                for k in ("problem", "input", "target", "fingerprint", "error")
+            ):
+                raise TypeError("not an object whose names, paths and errors are strings")
             return cls(
                 problem=d["problem"],
                 vf=float(d["vf"]),
@@ -153,7 +162,7 @@ class ManifestRecord:
                 fingerprint=d["fingerprint"],
                 error=d.get("error"),
             )
-        except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise FormatError(f"malformed manifest line: {exc}") from exc
 
 
@@ -184,8 +193,9 @@ def read_manifest(path: str, validate: bool = True) -> list[ManifestRecord]:
     Validation enforces strictly increasing vf, a single shared fingerprint,
     and existence of every referenced file; violations raise FormatError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        records = [ManifestRecord.from_json(line) for line in fh if line.strip()]
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    records = [ManifestRecord.from_json(line) for line in lines if line.strip()]
     if not validate:
         return records
     base = os.path.dirname(os.path.abspath(path))

@@ -116,24 +116,6 @@ class DensityField:
         return cls(Grid(nelx, nely), image.ravel())
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    """K u = f with Dirichlet DOFs eliminated at solve time."""
-
-    matrix: AssembledMatrix
-    rhs: np.ndarray
-    fixed_dofs: np.ndarray
-    fixed_values: np.ndarray = field(default=None)  # zeros when omitted
-
-    def __post_init__(self):
-        if self.fixed_values is None:
-            object.__setattr__(
-                self, "fixed_values", np.zeros(len(self.fixed_dofs))
-            )
-        if len(self.fixed_values) != len(self.fixed_dofs):
-            raise ValueError("fixed_values length must match fixed_dofs")
-
-
 def _shape_gradients(xi: float, eta: float) -> np.ndarray:
     """(2, 4) gradients of the bilinear shape functions at (xi, eta) in [0,1]^2."""
     return np.array(
@@ -422,36 +404,15 @@ def factorize(matrix: AssembledMatrix, fixed_dofs: np.ndarray) -> Factor:
 
 
 def solve_many(
-    matrix: AssembledMatrix,
-    rhs_columns: np.ndarray,
-    fixed_dofs: np.ndarray,
-    fixed_values: np.ndarray | None = None,
-    tol: float = 1e-8,
+    matrix: AssembledMatrix, rhs_columns: np.ndarray, fixed_dofs: np.ndarray
 ) -> np.ndarray:
-    """Direct solve of K u = f for one or more right-hand sides.
-
-    Dirichlet DOFs are eliminated and the free block, which must be
-    symmetric positive definite, is factored once by banded Cholesky in the
-    band order of the matrix's assembly: natural for the open meshes, folded
-    for the periodic cell (see factorize). Each solution is then refined
-    until its relative residual meets ``tol`` (see Factor.solve). Raises
-    SolverFailure, with the residual attached when there is one, when
-    refinement stalls short or the block is not positive definite.
+    """Direct solve of K u = f for one or more right-hand sides, zero on
+    the Dirichlet DOFs ``fixed_dofs``: factorize once, then Factor.solve
+    with its default 1e-8 residual contract. Raises SolverFailure, with the
+    residual attached when there is one, when refinement stalls short or the
+    free block is not positive definite.
     """
-    return factorize(matrix, fixed_dofs).solve(rhs_columns, fixed_values, tol)
-
-
-def solve_spd(system: LinearSystem, tol: float = 1e-8) -> np.ndarray:
-    """Solve one eliminated Dirichlet system whose free block is symmetric
-    positive definite, by banded Cholesky in the band order of the matrix's
-    assembly; see solve_many for the contract."""
-    return solve_many(
-        system.matrix,
-        system.rhs[None, :],
-        system.fixed_dofs,
-        system.fixed_values,
-        tol=tol,
-    )[0]
+    return factorize(matrix, fixed_dofs).solve(rhs_columns)
 
 
 def compliance(

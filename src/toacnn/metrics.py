@@ -1,8 +1,10 @@
-"""Volume and objective error metrics plus n-sweep report generation.
+"""Volume error and the (vf, n) sweep report.
 
-Both metrics are relative percentages of the target quantity. Predictions
-are evaluated as gray fields clamped to [0, 1] under the same penalized
-physics as the targets; no thresholding is applied anywhere.
+A report scores two relative percentages of the target quantity: V_err
+from volume_error, and Obj_err = 100 |obj(pred) - obj(target)| /
+|obj(target)|, both objectives from the config's own ``evaluate``.
+Predictions are evaluated as gray fields clamped to [0, 1] under the same
+penalized physics as the targets; no thresholding is applied anywhere.
 """
 
 from __future__ import annotations
@@ -39,17 +41,6 @@ def volume_error(pred: DensityField, target: DensityField) -> float:
     return 100.0 * abs(float(pred.values.mean()) - mt) / mt
 
 
-def objective_error(pred: DensityField, target: DensityField, cfg: SimpConfig) -> float:
-    """100 |obj(pred) - obj(target)| / |obj(target)|, same evaluator for both."""
-    if not isinstance(cfg, SimpConfig):
-        raise ValueError(f"no evaluator for config type {type(cfg).__name__}")
-    op = cfg.evaluate(pred)
-    ot = cfg.evaluate(target)
-    if ot == 0.0:
-        raise ValueError("target objective is zero; relative error undefined")
-    return 100.0 * abs(op - ot) / abs(ot)
-
-
 @dataclass(frozen=True)
 class EvalRecord:
     """One (vf, n) cell of a sweep report; ``error`` replaces the numbers
@@ -69,9 +60,11 @@ class EvalRecord:
         return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, line: str) -> "EvalRecord":
+    def from_json(cls, line: str | bytes) -> "EvalRecord":
+        """One record from a report line; bytes are decoded here, so a line
+        that is not UTF-8 is malformed like any other."""
         try:
-            d = json.loads(line)
+            d = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
             return cls(
                 problem=d["problem"],
                 vf=float(d["vf"]),
@@ -82,7 +75,7 @@ class EvalRecord:
                 objective_target=d.get("objective_target"),
                 error=d.get("error"),
             )
-        except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise FormatError(f"malformed report line: {exc}") from exc
 
 
@@ -188,5 +181,6 @@ def write_report(records: Sequence[EvalRecord], path: str) -> None:
 
 
 def read_report(path: str) -> list[EvalRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [EvalRecord.from_json(line) for line in fh if line.strip()]
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    return [EvalRecord.from_json(line) for line in lines if line.strip()]

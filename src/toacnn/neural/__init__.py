@@ -1,26 +1,1 @@
 """From-scratch float32 network: layers, profiles, training, checkpoints."""
-
-from .checkpoint import Checkpoint, load_checkpoint, load_checkpoint_file, save_checkpoint, save_checkpoint_file
-from .model import backward, forward, init_params, predict
-from .profile import NetworkProfile, full_profile, small_profile
-from .training import AdamState, TrainConfig, adam_step, infer, train
-
-__all__ = [
-    "AdamState",
-    "Checkpoint",
-    "NetworkProfile",
-    "TrainConfig",
-    "adam_step",
-    "backward",
-    "forward",
-    "full_profile",
-    "infer",
-    "init_params",
-    "load_checkpoint",
-    "load_checkpoint_file",
-    "predict",
-    "save_checkpoint",
-    "save_checkpoint_file",
-    "small_profile",
-    "train",
-]

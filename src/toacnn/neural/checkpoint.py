@@ -73,7 +73,7 @@ def load_checkpoint(data: bytes) -> Checkpoint:
         epochs = int(header["epochs"])
         loss_tail = [float(v) for v in header["loss_tail"]]
         tensors = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise FormatError(f"malformed checkpoint header: {exc}") from exc
 
     specs = profile.parameter_specs()

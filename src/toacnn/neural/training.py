@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.lr <= 0.0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not (0.0 < self.lr < math.inf):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
 
 
 # Adam moment decay rates and the denominator guard.
@@ -114,7 +114,8 @@ def train(
     Everything is a pure function of (profile, samples, cfg): He-uniform init
     from cfg.seed, and an independent seeded stream drives the per-epoch
     shuffles. A non-finite loss aborts with the epoch, batch, and first
-    offending layer.
+    offending layer; so does a non-finite parameter after the last step,
+    which names the tensor.
     """
     if not samples:
         raise ValueError("cannot train on an empty sample list")
@@ -156,6 +157,10 @@ def train(
                     g *= scale
             adam_step(state, params, acc, cfg.lr)
         history.append(float(np.mean(epoch_losses)))
+    # the last step's update is seen by no later loss, so check it here
+    for p, (name, _, _) in zip(params, profile.parameter_specs()):
+        if not np.all(np.isfinite(p)):
+            raise TrainingDiverged(cfg.epochs - 1, b0 // cfg.batch_size, name)
 
     ck = Checkpoint(
         profile=profile,

@@ -83,6 +83,10 @@ class SimpConfig:
     def __post_init__(self):
         if not (0.0 < self.vf < 1.0):
             raise ValueError(f"vf must lie in (0, 1), got {self.vf}")
+        if not (0.0 < self.move <= 1.0):
+            raise ValueError(f"move must lie in (0, 1], got {self.move}")
+        if not self.penal >= 1.0:
+            raise ValueError(f"penal must be at least 1, got {self.penal}")
 
     @property
     def grid(self) -> Grid:
@@ -123,7 +127,6 @@ def optimize(
 class FilterKernel:
     """Precomputed cone-weight matrix for one grid and radius."""
 
-    rmin: float
     weights: sp.csr_array  # (n_elements, n_elements), w_ej = max(0, rmin - dist)
     weight_sums: np.ndarray  # row sums of `weights`
 
@@ -158,7 +161,7 @@ def build_filter(grid: Grid, rmin: float) -> FilterKernel:
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(grid.n_elements, grid.n_elements),
     ).tocsr()
-    return FilterKernel(rmin, w, np.asarray(w.sum(axis=1)).ravel())
+    return FilterKernel(w, np.asarray(w.sum(axis=1)).ravel())
 
 
 def sensitivity_filter(rho: np.ndarray, dc: np.ndarray, kernel: FilterKernel) -> np.ndarray:

@@ -5,7 +5,8 @@ The fluid model treats density as an impermeability field: flow conductivity
 drops from K_max in void to eps_k * K_max in solid, while a drainage term
 d_s * H(rho) kills pressure inside solid material over a prescribed depth.
 The resulting pressure gradient loads the structure, so the load moves with
-the design and its sensitivity needs the adjoint term below.
+the design and its sensitivity needs the adjoint term below. arch_analysis
+is the one forward chain, shared by the optimizer step and evaluate_arch.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import fem  # solve_many via the module: the benchmark tracer wraps fem.solve_many
 from .fem import (
     _GAUSS_1D,
     AssembledMatrix,
@@ -24,7 +26,6 @@ from .fem import (
     DensityField,
     Factor,
     Grid,
-    LinearSystem,
     _shape_gradients,
     assemble_stiffness,
     compliance,
@@ -33,7 +34,6 @@ from .fem import (
     element_stiffness,
     factorize,
     solve_many,  # noqa: F401  (re-exported: the benchmark tracer wraps it here)
-    solve_spd,
 )
 from .optimize import (
     MmaState,
@@ -179,16 +179,27 @@ def arch_supports(cfg: PressureConfig) -> np.ndarray:
     return np.sort(np.concatenate([2 * nids, 2 * nids + 1]))
 
 
+def arch_analysis(
+    rho: DensityField, cfg: PressureConfig, ke: np.ndarray | None = None
+) -> tuple[Factor, np.ndarray, np.ndarray, np.ndarray]:
+    """The forward chain: Darcy assembly, one pressure factor, the pressure
+    solve, load transfer, then the elastic solve. Returns ``(darcy, p, f,
+    u)``; ``darcy`` also serves the load adjoint in arch_sensitivities."""
+    grid = rho.grid
+    a = assemble_darcy(rho, cfg)
+    darcy = pressure_factor(a, grid)
+    p = solve_pressure(a, grid, cfg.p0, darcy)
+    f = pressure_to_loads(p, grid)
+    k = assemble_stiffness(rho, cfg.penal, cfg.material, ke)
+    u = fem.solve_many(k, f, arch_supports(cfg))[0]
+    return darcy, p, f, u
+
+
 def evaluate_arch(rho: DensityField, cfg: PressureConfig) -> float:
-    """Full forward pass: pressure solve, load transfer, elastic solve,
-    compliance f^T u."""
+    """Compliance f^T u of a given design under its own pressure load."""
     if rho.grid != cfg.grid:
         raise ValueError(f"field grid {rho.grid} does not match config grid {cfg.grid}")
-    a = assemble_darcy(rho, cfg)
-    p = solve_pressure(a, rho.grid, cfg.p0)
-    f = pressure_to_loads(p, rho.grid)
-    k = assemble_stiffness(rho, cfg.penal, cfg.material)
-    u = solve_spd(LinearSystem(k, f, arch_supports(cfg)))
+    _, _, f, u = arch_analysis(rho, cfg)
     return float(f @ u)
 
 
@@ -197,26 +208,22 @@ def arch_sensitivities(
     p: np.ndarray,
     rho: DensityField,
     cfg: PressureConfig,
-    ce: np.ndarray | None = None,
-    darcy: Factor | None = None,
+    ce: np.ndarray,
+    darcy: Factor,
 ) -> np.ndarray:
     """d(compliance)/d(rho) with design-dependent loads.
 
-    Stiffness part is the usual -penal rho^(p-1) (e0 - emin) ce. The load
-    part solves the adjoint A mu = T^T (2u) on the pressure-free nodes and
-    adds mu^T (dA/drho_e) p per element; lst=0 drops it (frozen-load
-    approximation). The adjoint has the pressure problem's matrix and
-    Dirichlet nodes, so ``darcy``, the factor that solved for ``p``, is
-    reused when given; otherwise the Darcy matrix is assembled and factored.
+    Stiffness part is the usual -penal rho^(p-1) (e0 - emin) ce, with ``ce``
+    the unit-modulus element energies from compliance. The load part solves
+    the adjoint A mu = T^T (2u) on the pressure-free nodes and adds mu^T
+    (dA/drho_e) p per element; lst=0 drops it (frozen-load approximation).
+    The adjoint has the pressure problem's matrix and Dirichlet nodes, so it
+    reuses ``darcy``, the factor that solved for ``p`` (see arch_analysis).
     """
     grid = rho.grid
     mat = cfg.material
-    if ce is None:
-        _, ce = compliance(u, rho, cfg.penal, mat)
     dc = -cfg.penal * rho.values ** (cfg.penal - 1.0) * (mat.e0 - mat.emin) * ce
     if cfg.lst:
-        if darcy is None:
-            darcy = pressure_factor(assemble_darcy(rho, cfg), grid)
         rhs = pressure_to_loads_transpose(2.0 * u, grid)
         mu = darcy.solve(rhs[None, :])[0]
         _, dh = smooth_heaviside(rho.values, cfg.etaf, cfg.betaf)
@@ -245,7 +252,6 @@ def solve_arch(cfg: PressureConfig) -> OptResult:
     mat = cfg.material
     ke = element_stiffness(mat)
     kernel = build_filter(grid, cfg.rmin)
-    supports = arch_supports(cfg)
     n = grid.n_elements
     dg = np.full(n, 1.0 / (n * cfg.vf))
     state = MmaState()
@@ -253,14 +259,9 @@ def solve_arch(cfg: PressureConfig) -> OptResult:
     def step(rho: np.ndarray, it: int) -> tuple[float, np.ndarray]:
         nonlocal state
         rho_field = DensityField(grid, rho)
-        a = assemble_darcy(rho_field, cfg)
-        darcy = pressure_factor(a, grid)
-        p = solve_pressure(a, grid, cfg.p0, darcy)
-        f = pressure_to_loads(p, grid)
-        k = assemble_stiffness(rho_field, cfg.penal, mat, ke)
-        u = solve_spd(LinearSystem(k, f, supports))
+        darcy, p, _, u = arch_analysis(rho_field, cfg, ke)
         c, ce = compliance(u, rho_field, cfg.penal, mat, ke)
-        dc = arch_sensitivities(u, p, rho_field, cfg, ce=ce, darcy=darcy)
+        dc = arch_sensitivities(u, p, rho_field, cfg, ce, darcy)
         dc = sensitivity_filter(rho, dc, kernel)
         g = float(rho.mean() / cfg.vf - 1.0)
         rho_new, state = mma_update(state, rho, dc, g, dg, iteration=it, move=cfg.move)

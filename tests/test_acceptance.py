@@ -30,11 +30,11 @@ from toacnn.errors import FormatError
 from toacnn.fem import (
     DensityField,
     Grid,
-    LinearSystem,
     Material,
     assemble_stiffness,
+    compliance,
     element_stiffness,
-    solve_spd,
+    solve_many,
 )
 from toacnn.metrics import eval_report
 from toacnn.microstructure import MicroConfig, bulk_modulus, bulk_objective, homogenize, solve_micro
@@ -57,11 +57,10 @@ from toacnn.neural.profile import NetworkProfile, full_profile, small_profile
 from toacnn.neural.training import TrainConfig, train
 from toacnn.pressure import (
     PressureConfig,
+    arch_analysis,
     arch_sensitivities,
-    arch_supports,
     assemble_darcy,
     evaluate_arch,
-    pressure_to_loads,
     solve_arch,
     solve_pressure,
 )
@@ -106,7 +105,7 @@ def test_criterion_1_finite_element_oracle(capsys):
     fixed = np.array([0, 1, 2, 3])
     f = np.zeros(8)
     f[5] = -1.0
-    u = solve_spd(LinearSystem(k, f, fixed))
+    u = solve_many(k, f, fixed)[0]
     dense = np.zeros(8)
     dense[4:] = np.linalg.solve(k.toarray()[4:, 4:], f[4:])
     solve_err = np.abs(u - dense).max()
@@ -222,12 +221,9 @@ def _pressure_adjoint_worst():
     rng = np.random.default_rng(0)
     rho = rng.uniform(0.25, 0.75, 36)
     fld = DensityField(cfg.grid, rho)
-    a = assemble_darcy(fld, cfg)
-    p = solve_pressure(a, cfg.grid, cfg.p0)
-    f = pressure_to_loads(p, cfg.grid)
-    k = assemble_stiffness(fld, cfg.penal, cfg.material)
-    u = solve_spd(LinearSystem(k, f, arch_supports(cfg)))
-    dc = arch_sensitivities(u, p, fld, cfg)
+    darcy, p, _, u = arch_analysis(fld, cfg)
+    _, ce = compliance(u, fld, cfg.penal, cfg.material)
+    dc = arch_sensitivities(u, p, fld, cfg, ce, darcy)
     h = 1e-6
     fd = np.zeros(36)
     for e in range(36):

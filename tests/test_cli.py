@@ -114,6 +114,32 @@ class TestSolve:
         assert rc == 2
         assert not (tmp_path / "d.pgm").exists()
 
+    @pytest.mark.parametrize("problem", ["cantilever", "arch", "micro"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--move", "0", "move must lie in"),
+            ("--move", "-0.1", "move must lie in"),
+            ("--move", "1.5", "move must lie in"),
+            ("--move", "nan", "move must lie in"),
+            ("--penal", "-1", "penal must be at least 1"),
+            ("--penal", "0.5", "penal must be at least 1"),
+            ("--penal", "nan", "penal must be at least 1"),
+        ],
+    )
+    def test_bad_move_or_penal_is_usage_error(self, problem, flag, value, message, tmp_path,
+                                              capsys):
+        out = tmp_path / "d.pgm"
+        rc = main(["solve", "--problem", problem, "--nelx", "12", "--nely", "6", "--maxit", "3",
+                   "--vf", "0.4", flag, value, "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_full_move_limit_still_solves(self, tmp_path):
+        rc = main(["solve", *PHYS, "--vf", "0.4", "--move", "1", "--out", str(tmp_path / "d.pgm")])
+        assert rc == 0
+
     def test_rerun_is_bit_identical(self, tmp_path):
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
         main(["solve", *PHYS, "--vf", "0.4", "--out", str(a)])
@@ -191,6 +217,34 @@ class TestTrain:
                    "--epochs", "3", "--lr", "1e12", "--out", str(out)])
         assert rc == 4
         assert not out.exists()
+
+    def test_non_finite_lr_is_usage_error(self, tmp_path, manifest, profile_file, capsys):
+        out = tmp_path / "d.ckpt"
+        for lr in ("nan", "inf"):
+            rc = main(["train", "--manifest", manifest, "--profile-file", profile_file,
+                       "--epochs", "1", "--lr", lr, "--out", str(out)])
+            assert rc == 2
+            assert "lr must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_divergence_in_the_last_step_exits_4(self, tmp_path, manifest, profile_file, capsys):
+        # lr 1e39 overflows float32 in the first and only update; no later
+        # loss sees the result, so train checks the parameters at the end
+        out = tmp_path / "d.ckpt"
+        rc = main(["train", "--manifest", manifest, "--profile-file", profile_file,
+                   "--epochs", "1", "--lr", "1e39", "--out", str(out)])
+        assert rc == 4
+        assert "non-finite value at epoch 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "d.losses.txt").exists()
+
+    def test_undecodable_manifest_exits_3(self, tmp_path, manifest, profile_file):
+        bad = tmp_path / "manifest.jsonl"
+        bad.write_bytes(b"\xff" + read_bytes(manifest))
+        rc = main(["train", "--manifest", str(bad), "--profile-file", profile_file,
+                   "--epochs", "1", "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 3
 
     def test_garbage_profile_file_exits_3(self, tmp_path, manifest):
         prof = tmp_path / "bad.json"

@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toacnn import dataset as ds
 from toacnn.cantilever import CantileverConfig
@@ -39,6 +40,31 @@ class TestInputImage:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             ds.make_input_image(1.2, 4, 4)
+
+
+def byte_edits(blob):
+    """Up to four (position, new byte) edits of ``blob``."""
+    return st.lists(
+        st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)), min_size=1, max_size=4
+    )
+
+
+def mutated(blob, edits, cut, head=None):
+    """``blob`` cut at ``cut`` with the edits applied, each within the first
+    ``head`` bytes when ``head`` is given."""
+    data = bytearray(blob[:cut])
+    for pos, value in edits:
+        pos = pos % head if head else pos
+        if pos < len(data):
+            data[pos] = value
+    return bytes(data)
+
+
+_PGM = ds.write_pgm(np.random.default_rng(2).uniform(0, 1, (3, 4)))
+_MANIFEST = ds.manifest_bytes([
+    ds.ManifestRecord("cantilever", 0.2, "input_020.pgm", "target_020.pgm", 12.5, 31, "f" * 8),
+    ds.ManifestRecord("cantilever", 0.4, None, None, None, None, "f" * 8, error="exploded"),
+])
 
 
 class TestPgm:
@@ -81,6 +107,26 @@ class TestPgm:
     def test_out_of_range_image_rejected(self):
         with pytest.raises(ValueError):
             ds.write_pgm(np.full((2, 2), 1.5))
+
+    def test_zero_extent_rejected(self):
+        for blob in (b"P5\n0 5\n255\n", b"P5\n5 0\n255\n"):
+            with pytest.raises(FormatError, match="no pixels"):
+                ds.read_pgm(blob)
+
+    def test_overlong_header_number_rejected(self):
+        with pytest.raises(FormatError, match="header token"):
+            ds.read_pgm(b"P5\n" + b"1" * 5000 + b" 1\n255\n\x00")
+
+    @given(edits=byte_edits(_PGM), cut=st.none() | st.integers(0, len(_PGM)),
+           header_only=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_byte_mutations_raise_only_format_error(self, edits, cut, header_only):
+        # most payload bytes only change a pixel; aim at the header half the time
+        head = len(b"P5\n4 3\n255\n") if header_only else None
+        try:
+            ds.read_pgm(mutated(_PGM, edits, cut, head))
+        except FormatError:
+            pass
 
     def test_file_round_trip(self, tmp_path):
         img = ds.make_input_image(0.4, 8, 8)
@@ -140,6 +186,15 @@ class TestFingerprint:
         assert ds.config_fingerprint(problem, cfg_type()) == expected
 
 
+@pytest.fixture(scope="module")
+def sample_dir(tmp_path_factory):
+    """A directory holding the two files _MANIFEST refers to."""
+    out = tmp_path_factory.mktemp("samples")
+    for name in ("input_020.pgm", "target_020.pgm"):
+        ds.write_pgm_file(np.zeros((2, 2)), str(out / name))
+    return out
+
+
 class TestManifest:
     def make_records(self, fp="f" * 8):
         return [
@@ -161,6 +216,33 @@ class TestManifest:
             ds.ManifestRecord.from_json("{...")
         with pytest.raises(FormatError):
             ds.ManifestRecord.from_json('{"vf": 0.5}')
+
+    def test_deep_nesting_is_malformed(self):
+        with pytest.raises(FormatError):
+            ds.ManifestRecord.from_json("[" * 100000)
+
+    def test_non_string_path_is_malformed(self):
+        line = '{"fingerprint":"f","input":5,"problem":"cantilever","target":"t","vf":0.2}'
+        with pytest.raises(FormatError, match="strings"):
+            ds.ManifestRecord.from_json(line)
+
+    def test_undecodable_byte_is_malformed(self, tmp_path):
+        path = tmp_path / "manifest.jsonl"
+        path.write_bytes(_MANIFEST.replace(b"exploded", b"expl\xffded"))
+        for validate in (True, False):
+            with pytest.raises(FormatError, match="utf-8"):
+                ds.read_manifest(str(path), validate=validate)
+
+    @given(edits=byte_edits(_MANIFEST), cut=st.none() | st.integers(0, len(_MANIFEST)),
+           validate=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_byte_mutations_raise_only_format_error(self, sample_dir, edits, cut, validate):
+        path = sample_dir / "manifest.jsonl"
+        path.write_bytes(mutated(_MANIFEST, edits, cut))
+        try:
+            ds.read_manifest(str(path), validate=validate)
+        except FormatError:
+            pass
 
     def test_validation_passes_on_consistent_dir(self, tmp_path):
         recs = self.make_records()
@@ -308,6 +390,28 @@ class TestGenerate:
         ds.generate_dataset("cantilever", cfg, out, vf_start=0.3, vf_stop=0.4, vf_step=0.1)
         after = os.stat(path)
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_damaged_manifest_is_regenerated(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "data")
+        cfg = TinyCfg.make()
+        first = ds.generate_dataset("cantilever", cfg, out, vf_start=0.3, vf_stop=0.4, vf_step=0.1)
+        path = os.path.join(out, "manifest.jsonl")
+        with open(path, "r+b") as fh:
+            fh.seek(5)
+            fh.write(b"\xff")
+
+        calls = []
+        real_solver = ds.PROBLEMS["cantilever"][1]
+
+        def counting(c):
+            calls.append(c.vf)
+            return real_solver(c)
+
+        monkeypatch.setitem(ds.PROBLEMS, "cantilever", (CantileverConfig, counting))
+        again = ds.generate_dataset("cantilever", cfg, out, vf_start=0.3, vf_stop=0.4, vf_step=0.1)
+        assert calls == [0.3, 0.4]  # unreadable manifest: everything is solved again
+        assert again == first
+        assert ds.read_manifest(path) == first
 
     def test_deleted_file_invalidates_resume(self, tmp_path):
         out = str(tmp_path / "data")

@@ -15,7 +15,6 @@ from toacnn.fem import (
     Assembly,
     DensityField,
     Grid,
-    LinearSystem,
     Material,
     assemble_stiffness,
     compliance,
@@ -25,7 +24,6 @@ from toacnn.fem import (
     factorize,
     simp_moduli,
     solve_many,
-    solve_spd,
     stiffness_assembly,
 )
 from toacnn.microstructure import _periodic_edof, periodic_assembly
@@ -270,7 +268,7 @@ def cantilever_1x1():
 class TestSolve:
     def test_single_element_matches_dense_elimination(self):
         g, k, f, fixed = cantilever_1x1()
-        u = solve_spd(LinearSystem(k, f, fixed))
+        u = solve_many(k, f, fixed)[0]
         kd = k.toarray()
         free = np.setdiff1d(np.arange(g.n_dofs), fixed)
         uref = np.zeros(g.n_dofs)
@@ -284,7 +282,7 @@ class TestSolve:
         k = assemble_stiffness(rho, 3.0, Material())
         f = rng.standard_normal(g.n_dofs)
         fixed = np.array([0, 1, 2, 3, 8, 9])
-        u = solve_spd(LinearSystem(k, f, fixed))
+        u = solve_many(k, f, fixed)[0]
         kd = k.toarray()
         free = np.setdiff1d(np.arange(g.n_dofs), fixed)
         uref = np.zeros(g.n_dofs)
@@ -298,7 +296,7 @@ class TestSolve:
         k = assemble_stiffness(rho, 3.0, Material())
         fixed = np.array([0, 1, 20, 21])
         vals = np.array([0.1, -0.2, 0.0, 0.3])
-        u = solve_spd(LinearSystem(k, np.zeros(g.n_dofs), fixed, vals))
+        u = factorize(k, fixed).solve(np.zeros(g.n_dofs), vals)[0]
         assert u[fixed] == pytest.approx(vals, abs=0)
         free = np.setdiff1d(np.arange(g.n_dofs), fixed)
         resid = (k @ u)[free]
@@ -307,21 +305,21 @@ class TestSolve:
     def test_failure_carries_residual(self):
         g, k, f, fixed = cantilever_1x1()
         with pytest.raises(SolverFailure) as exc:
-            solve_spd(LinearSystem(k, f, fixed), tol=0.0)
+            factorize(k, fixed).solve(f, tol=0.0)
         assert exc.value.residual is not None
 
     def test_requires_constraints(self):
         g, k, f, fixed = cantilever_1x1()
         with pytest.raises(ValueError):
-            solve_spd(LinearSystem(k, f, np.array([], dtype=int)))
+            solve_many(k, f, np.array([], dtype=int))
 
     def test_multi_rhs_shares_factorization(self):
         g, k, f, fixed = cantilever_1x1()
         f2 = np.zeros_like(f)
         f2[2 * g.node_id(1, 1)] = 1.0
         u = solve_many(k, np.stack([f, f2]), fixed)
-        u0 = solve_spd(LinearSystem(k, f, fixed))
-        u1 = solve_spd(LinearSystem(k, f2, fixed))
+        u0 = solve_many(k, f, fixed)[0]
+        u1 = solve_many(k, f2, fixed)[0]
         assert np.array_equal(u[0], u0)
         assert np.array_equal(u[1], u1)
 
@@ -385,14 +383,14 @@ class TestFactor:
         factor = factorize(k, fixed)
         u1 = factor.solve(f1, values)
         u2 = factor.solve(f2)
-        assert np.array_equal(u1, solve_many(k, f1, fixed, values))
+        assert np.array_equal(u1, factorize(k, fixed).solve(f1, values))
         assert np.array_equal(u2, solve_many(k, f2, fixed))
 
     def test_indefinite_block_raises_solver_failure(self):
         g, k, f, fixed = cantilever_1x1()
         negated = k.assembly.assemble(-element_stiffness(Material())[None])
         with pytest.raises(SolverFailure, match="positive definite"):
-            solve_spd(LinearSystem(negated, f, fixed))
+            solve_many(negated, f, fixed)
         with pytest.raises(SolverFailure):
             factorize(negated, fixed)
 
@@ -537,7 +535,7 @@ class TestCompliance:
         f = np.zeros(g.n_dofs)
         f[2 * g.node_id(6, 2) + 1] = -1.0
         fixed = np.arange(2 * (g.nely + 1))  # clamp the whole left edge
-        u = solve_spd(LinearSystem(k, f, fixed))
+        u = solve_many(k, f, fixed)[0]
         c, ce = compliance(u, rho, 3.0, mat)
         assert np.all(ce >= 0.0)
         assert c == pytest.approx(float(f @ u), rel=1e-8)

@@ -4,17 +4,16 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toacnn import dataset as ds
 from toacnn import metrics as mx
 from toacnn.cantilever import CantileverConfig
 from toacnn.errors import FormatError
 from toacnn.fem import DensityField, Grid
-from toacnn.microstructure import MicroConfig
 from toacnn.neural.checkpoint import Checkpoint
 from toacnn.neural.model import init_params
 from toacnn.neural.profile import NetworkProfile
-from toacnn.pressure import PressureConfig
 
 
 def field(grid, values):
@@ -63,39 +62,6 @@ class TestVolumeError:
             mx.volume_error(field(g, np.full(4, 0.5)), field(g, np.zeros(4)))
 
 
-class TestObjectiveError:
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            CantileverConfig(nelx=8, nely=8),
-            PressureConfig(nelx=8, nely=8),
-            MicroConfig(nelx=8, nely=8),
-        ],
-        ids=["cantilever", "arch", "micro"],
-    )
-    def test_identity_zero(self, cfg):
-        rng = np.random.default_rng(0)
-        x = field(cfg.grid, rng.uniform(0.2, 0.9, 64))
-        assert mx.objective_error(x, x, cfg) == 0.0
-
-    def test_load_scaling_invariance(self):
-        # compliance scales with the square of the load, so the relative
-        # error is untouched
-        rng = np.random.default_rng(1)
-        g = Grid(8, 8)
-        pred = field(g, rng.uniform(0.3, 0.9, 64))
-        target = field(g, rng.uniform(0.3, 0.9, 64))
-        e1 = mx.objective_error(pred, target, CantileverConfig(nelx=8, nely=8))
-        e2 = mx.objective_error(pred, target, CantileverConfig(nelx=8, nely=8, load_magnitude=2.0))
-        assert e1 == pytest.approx(e2, rel=1e-9)
-
-    def test_unknown_config_type(self):
-        g = Grid(2, 2)
-        x = field(g, np.full(4, 0.5))
-        with pytest.raises(ValueError, match="no evaluator"):
-            mx.objective_error(x, x, object())
-
-
 class TestEvalRecord:
     def test_round_trip(self):
         r = mx.EvalRecord("cantilever", 0.5, 64, 1.2, 3.4, 10.0, 9.9)
@@ -106,6 +72,49 @@ class TestEvalRecord:
     def test_malformed_line(self):
         with pytest.raises(FormatError):
             mx.EvalRecord.from_json("{}")
+
+    def test_deep_nesting_and_overflow_are_malformed(self):
+        for line in ("[" * 100000, '{"n":1e400,"problem":"micro","vf":0.3}'):
+            with pytest.raises(FormatError):
+                mx.EvalRecord.from_json(line)
+
+
+_REPORT = "".join(r.to_json() + "\n" for r in [
+    mx.EvalRecord("cantilever", 0.5, 64, 1.2, 3.4, 10.0, 9.9),
+    mx.EvalRecord("micro", 0.3, 0, None, None, None, None, error="target generation failed"),
+]).encode()
+
+
+@pytest.fixture(scope="module")
+def report_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("report")
+
+
+class TestReadReport:
+    def test_undecodable_byte_is_malformed(self, tmp_path):
+        path = tmp_path / "report.jsonl"
+        path.write_bytes(_REPORT.replace(b"micro", b"mi\xffro"))
+        with pytest.raises(FormatError, match="utf-8"):
+            mx.read_report(str(path))
+
+    @given(
+        edits=st.lists(
+            st.tuples(st.integers(0, len(_REPORT) - 1), st.integers(0, 255)), min_size=1, max_size=4
+        ),
+        cut=st.none() | st.integers(0, len(_REPORT)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_byte_mutations_raise_only_format_error(self, report_dir, edits, cut):
+        data = bytearray(_REPORT[:cut])
+        for pos, value in edits:
+            if pos < len(data):
+                data[pos] = value
+        path = report_dir / "report.jsonl"
+        path.write_bytes(bytes(data))
+        try:
+            mx.read_report(str(path))
+        except FormatError:
+            pass
 
 
 @pytest.fixture(scope="module")
@@ -122,10 +131,18 @@ class TestEvalReport:
         cks = {0: gray_checkpoint(0, 0.5), 5: gray_checkpoint(5, 0.55)}
         recs = mx.eval_report(cks, manifest, cfg, [0.3, 0.5])
         assert [(r.vf, r.n) for r in recs] == [(0.3, 0), (0.3, 5), (0.5, 0), (0.5, 5)]
+        targets = {r.vf: r.target for r in ds.read_manifest(manifest)}
+        base = os.path.dirname(manifest)
         for r in recs:
             assert r.error is None
             assert r.v_err >= 0.0 and r.obj_err >= 0.0
             assert np.isfinite(r.objective_pred) and np.isfinite(r.objective_target)
+            # Obj_err scores both designs with the config's own evaluator
+            target = ds.field_from_pgm_file(os.path.join(base, targets[r.vf]))
+            assert r.objective_target == cfg.evaluate(target)
+            assert r.obj_err == 100.0 * abs(r.objective_pred - r.objective_target) / abs(
+                r.objective_target
+            )
 
     def test_empty_vfs(self, tiny_dataset):
         cfg, manifest = tiny_dataset

@@ -168,6 +168,11 @@ class TestMalformedHeader:
         with pytest.raises(FormatError, match="header"):
             load_checkpoint(blob)
 
+    def test_deeply_nested_header(self):
+        head = b"[" * 100000
+        with pytest.raises(FormatError, match="header"):
+            load_checkpoint(MAGIC + struct.pack("<Q", len(head)) + head)
+
 
 _BLOB = save_checkpoint(make_ck())
 

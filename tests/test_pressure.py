@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from toacnn.fem import DensityField, Grid, LinearSystem, assemble_stiffness, solve_spd
+from toacnn.fem import DensityField, Grid, compliance
 from toacnn.pressure import (
     _COUPLING,
     _LAPLACE,
     _MASS,
     PressureConfig,
+    arch_analysis,
     arch_sensitivities,
     arch_supports,
     assemble_darcy,
@@ -148,12 +149,9 @@ class TestSensitivities:
         rng = np.random.default_rng(0)
         rho = rng.uniform(0.25, 0.75, 36)
         fld = DensityField(cfg.grid, rho)
-        a = assemble_darcy(fld, cfg)
-        p = solve_pressure(a, cfg.grid, cfg.p0)
-        f = pressure_to_loads(p, cfg.grid)
-        k = assemble_stiffness(fld, cfg.penal, cfg.material)
-        u = solve_spd(LinearSystem(k, f, arch_supports(cfg)))
-        dc = arch_sensitivities(u, p, fld, cfg)
+        darcy, p, _, u = arch_analysis(fld, cfg)
+        _, ce = compliance(u, fld, cfg.penal, cfg.material)
+        dc = arch_sensitivities(u, p, fld, cfg, ce, darcy)
         eps = 1e-6
         fd = np.zeros(36)
         for e in range(36):
@@ -170,16 +168,10 @@ class TestSensitivities:
         cfg = PressureConfig(nelx=5, nely=5, vf=0.4, support_halfwidth=1, lst=0)
         rng = np.random.default_rng(3)
         fld = DensityField(cfg.grid, rng.uniform(0.3, 0.7, 25))
-        a = assemble_darcy(fld, cfg)
-        p = solve_pressure(a, cfg.grid, cfg.p0)
-        f = pressure_to_loads(p, cfg.grid)
-        k = assemble_stiffness(fld, cfg.penal, cfg.material)
-        u = solve_spd(LinearSystem(k, f, arch_supports(cfg)))
-        from toacnn.fem import compliance
-
+        darcy, p, _, u = arch_analysis(fld, cfg)
         _, ce = compliance(u, fld, cfg.penal, cfg.material)
         expect = -cfg.penal * fld.values**2.0 * (1.0 - 1e-9) * ce
-        dc = arch_sensitivities(u, p, fld, cfg)
+        dc = arch_sensitivities(u, p, fld, cfg, ce, darcy)
         assert dc == pytest.approx(expect, rel=1e-12)
 
 
