@@ -14,7 +14,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import fem  # solve_many via the module: the benchmark tracer wraps fem.solve_many
-from .fem import DensityField, assemble_stiffness, compliance, element_stiffness
+from .fem import DensityField, assemble_stiffness, compliance, simp_derivative
 from .optimize import OptResult, SimpConfig, build_filter, oc_update, optimize, sensitivity_filter
 
 
@@ -30,6 +30,8 @@ class CantileverConfig(SimpConfig):
         super().__post_init__()
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if not self.change_tol >= 0.0:
+            raise ValueError(f"change_tol must be non-negative, got {self.change_tol}")
 
     def evaluate(self, rho: DensityField) -> float:
         return evaluate_cantilever(rho, self)
@@ -59,17 +61,16 @@ def evaluate_cantilever(rho: DensityField, cfg: CantileverConfig) -> float:
 def solve_cantilever(cfg: CantileverConfig) -> OptResult:
     grid = cfg.grid
     mat = cfg.material
-    ke = element_stiffness(mat)
     kernel = build_filter(grid, cfg.rmin)
     f, fixed = cantilever_system(cfg)
     dv = np.ones(grid.n_elements)
 
     def step(rho: np.ndarray, it: int) -> tuple[float, np.ndarray]:
         rho_field = DensityField(grid, rho)
-        k = assemble_stiffness(rho_field, cfg.penal, mat, ke)
+        k = assemble_stiffness(rho_field, cfg.penal, mat)
         u = fem.solve_many(k, f, fixed)[0]
-        c, ce = compliance(u, rho_field, cfg.penal, mat, ke)
-        dc = -cfg.penal * rho ** (cfg.penal - 1.0) * (mat.e0 - mat.emin) * ce
+        c, ce = compliance(u, rho_field, cfg.penal, mat)
+        dc = simp_derivative(rho, cfg.penal, mat) * ce
         dc = sensitivity_filter(rho, dc, kernel)
         return c, oc_update(rho, dc, dv, cfg.vf, cfg.move)
 

@@ -77,7 +77,7 @@ def _load_profile(args) -> NetworkProfile:
         try:
             with open(args.profile_file, "r", encoding="utf-8") as fh:
                 return NetworkProfile.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise FormatError(f"cannot read profile file {args.profile_file}: {exc}") from exc
     if args.profile == "full":
         return full_profile(args.n)

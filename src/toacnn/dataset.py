@@ -245,6 +245,10 @@ def generate_dataset(
     cfg_type, solver = PROBLEMS[problem]
     if not isinstance(cfg, cfg_type):
         raise ValueError(f"problem {problem} needs a {cfg_type.__name__}")
+    # file names resolve vf to 0.01, 101 names over [0, 1]: a longer sweep
+    # must collide, and is refused before its list is built
+    if vf_step > 0.0 and (vf_stop - vf_start) / vf_step >= 101:
+        raise ValueError("vf grid collides at 0.01 file-name resolution")
     vfs = sweep_values(vf_start, vf_stop, vf_step)
     tags = [f"{round(v * 100):03d}" for v in vfs]
     if len(set(tags)) != len(tags):

@@ -126,12 +126,14 @@ def _shape_gradients(xi: float, eta: float) -> np.ndarray:
     )
 
 
+@lru_cache(maxsize=None)
 def element_stiffness(material: Material) -> np.ndarray:
     """8x8 stiffness of one unit-square plane-stress element at unit modulus.
 
     SIMP scaling is applied during assembly, so the material only contributes
     its Poisson ratio here. Integrated with a 2x2 Gauss rule, which is exact
-    for this integrand on an undistorted square.
+    for this integrand on an undistorted square. Computed once per material
+    and shared, so the array is read-only.
     """
     nu = material.nu
     d = np.array(
@@ -151,7 +153,9 @@ def element_stiffness(material: Material) -> np.ndarray:
             b[2, 0::2] = g[1]
             b[2, 1::2] = g[0]
             ke += 0.25 * b.T @ d @ b
-    return (ke + ke.T) / 2.0  # exact symmetry, last-ulp safe
+    ke = (ke + ke.T) / 2.0  # exact symmetry, last-ulp safe
+    ke.flags.writeable = False
+    return ke
 
 
 @lru_cache(maxsize=None)
@@ -174,17 +178,16 @@ def simp_moduli(values: np.ndarray, penal: float, material: Material) -> np.ndar
     return material.emin + values**penal * (material.e0 - material.emin)
 
 
-def assemble_stiffness(
-    rho: DensityField,
-    penal: float,
-    material: Material,
-    ke: np.ndarray | None = None,
-) -> AssembledMatrix:
+def simp_derivative(values: np.ndarray, penal: float, material: Material) -> np.ndarray:
+    """Per-element d(modulus)/d(rho) of simp_moduli; times a unit-modulus
+    element energy it gives that element's compliance sensitivity."""
+    return -penal * values ** (penal - 1.0) * (material.e0 - material.emin)
+
+
+def assemble_stiffness(rho: DensityField, penal: float, material: Material) -> AssembledMatrix:
     """Global stiffness with SIMP-scaled element blocks; bitwise symmetric."""
-    if ke is None:
-        ke = element_stiffness(material)
-    factors = simp_moduli(rho.values, penal, material)
-    return stiffness_assembly(rho.grid).assemble(factors[:, None, None] * ke)
+    blocks = simp_moduli(rho.values, penal, material)[:, None, None] * element_stiffness(material)
+    return stiffness_assembly(rho.grid).assemble(blocks)
 
 
 class AssembledMatrix(sp.csr_array):
@@ -416,21 +419,14 @@ def solve_many(
 
 
 def compliance(
-    u: np.ndarray,
-    rho: DensityField,
-    penal: float,
-    material: Material,
-    ke: np.ndarray | None = None,
+    u: np.ndarray, rho: DensityField, penal: float, material: Material
 ) -> tuple[float, np.ndarray]:
     """Total compliance and per-element strain energies at unit modulus.
 
     Returns ``(c, ce)`` with ``c = sum_e E_e * ce_e``; ``ce`` feeds the
     sensitivity expressions, which need the unscaled energies.
     """
-    if ke is None:
-        ke = element_stiffness(material)
-    edof = edof_matrix(rho.grid)
-    ue = u[edof]
-    ce = np.einsum("ni,ij,nj->n", ue, ke, ue)
+    ue = u[edof_matrix(rho.grid)]
+    ce = np.einsum("ni,ij,nj->n", ue, element_stiffness(material), ue)
     c = float(np.dot(simp_moduli(rho.values, penal, material), ce))
     return c, ce

@@ -23,6 +23,7 @@ from .fem import (
     Material,
     edof_matrix,
     element_stiffness,
+    simp_derivative,
     simp_moduli,
     solve_many,
 )
@@ -120,13 +121,7 @@ def bulk_objective(
     """
     c_h, q = homogenize(rho, penal, material)
     obj = -float(c_h[:2, :2].sum())
-    qsum = q[:, :2, :2].sum(axis=(1, 2))
-    dc = (
-        -penal
-        * rho.values ** (penal - 1.0)
-        * (material.e0 - material.emin)
-        * qsum
-    )
+    dc = simp_derivative(rho.values, penal, material) * q[:, :2, :2].sum(axis=(1, 2))
     return obj, dc
 
 
@@ -141,6 +136,8 @@ class MicroConfig(SimpConfig):
         super().__post_init__()
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if not self.change_tol >= 0.0:
+            raise ValueError(f"change_tol must be non-negative, got {self.change_tol}")
 
     def evaluate(self, rho: DensityField) -> float:
         return evaluate_micro(rho, self)

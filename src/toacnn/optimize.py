@@ -87,6 +87,8 @@ class SimpConfig:
             raise ValueError(f"move must lie in (0, 1], got {self.move}")
         if not self.penal >= 1.0:
             raise ValueError(f"penal must be at least 1, got {self.penal}")
+        if not (0.0 < self.rmin < math.inf):
+            raise ValueError(f"rmin must be positive and finite, got {self.rmin}")
 
     @property
     def grid(self) -> Grid:
@@ -135,16 +137,19 @@ def build_filter(grid: Grid, rmin: float) -> FilterKernel:
     """Cone weights between element centers closer than ``rmin``.
 
     Weights depend only on center distance, so each integer offset (dx, dy)
-    with dx^2 + dy^2 < rmin^2 contributes one constant diagonal band.
+    with dx^2 + dy^2 < rmin^2 contributes one constant diagonal band. An
+    offset as long as the grid pairs no elements, so the offsets stop short
+    of that and a radius wider than the grid costs no more than the grid.
     """
-    if rmin <= 0.0:
-        raise ValueError(f"rmin must be positive, got {rmin}")
+    if not (0.0 < rmin < math.inf):
+        raise ValueError(f"rmin must be positive and finite, got {rmin}")
     nelx, nely = grid.nelx, grid.nely
     eid = np.arange(grid.n_elements).reshape(nely, nelx)
-    reach = int(math.ceil(rmin))
+    reach_x = min(int(math.ceil(rmin)), nelx - 1)
+    reach_y = min(int(math.ceil(rmin)), nely - 1)
     rows, cols, data = [], [], []
-    for dy in range(-reach, reach + 1):
-        for dx in range(-reach, reach + 1):
+    for dy in range(-reach_y, reach_y + 1):
+        for dx in range(-reach_x, reach_x + 1):
             dist = math.hypot(dx, dy)
             if dist >= rmin:
                 continue

@@ -31,8 +31,8 @@ from .fem import (
     compliance,
     edof_matrix,
     element_nodes,
-    element_stiffness,
     factorize,
+    simp_derivative,
     solve_many,  # noqa: F401  (re-exported: the benchmark tracer wraps it here)
 )
 from .optimize import (
@@ -143,24 +143,14 @@ def pressure_boundary(grid: Grid, p0: float) -> tuple[np.ndarray, np.ndarray]:
     return fixed, values
 
 
-def pressure_factor(a: AssembledMatrix, grid: Grid) -> Factor:
-    """Darcy matrix ``a`` factored on its pressure-free nodes. The pressure
-    solve and the load adjoint have the same matrix and Dirichlet nodes, so
-    one factor serves both."""
-    fixed, _ = pressure_boundary(grid, 0.0)
-    return factorize(a, fixed)
-
-
-def solve_pressure(
-    a: AssembledMatrix, grid: Grid, p0: float, factor: Factor | None = None
-) -> np.ndarray:
-    """Nodal pressure field for the two-edge Dirichlet problem; ``factor``,
-    the pressure_factor of ``a`` when the caller has it, saves factoring
-    ``a`` again."""
-    if factor is None:
-        factor = pressure_factor(a, grid)
-    _, values = pressure_boundary(grid, p0)
-    return factor.solve(np.zeros((1, grid.n_nodes)), values)[0]
+def solve_pressure(a: AssembledMatrix, grid: Grid, p0: float) -> tuple[Factor, np.ndarray]:
+    """``(factor, p)``: the Darcy matrix ``a`` factored on its pressure-free
+    nodes, and the nodal pressure of the two-edge Dirichlet problem. The
+    load adjoint has the same matrix and Dirichlet nodes, so the factor
+    serves it too."""
+    fixed, values = pressure_boundary(grid, p0)
+    factor = factorize(a, fixed)
+    return factor, factor.solve(np.zeros((1, grid.n_nodes)), values)[0]
 
 
 def pressure_to_loads(p: np.ndarray, grid: Grid) -> np.ndarray:
@@ -180,17 +170,15 @@ def arch_supports(cfg: PressureConfig) -> np.ndarray:
 
 
 def arch_analysis(
-    rho: DensityField, cfg: PressureConfig, ke: np.ndarray | None = None
+    rho: DensityField, cfg: PressureConfig
 ) -> tuple[Factor, np.ndarray, np.ndarray, np.ndarray]:
-    """The forward chain: Darcy assembly, one pressure factor, the pressure
-    solve, load transfer, then the elastic solve. Returns ``(darcy, p, f,
-    u)``; ``darcy`` also serves the load adjoint in arch_sensitivities."""
+    """The forward chain: Darcy assembly, the pressure solve, load transfer,
+    then the elastic solve. Returns ``(darcy, p, f, u)``; ``darcy``, the
+    pressure factor, also serves the load adjoint in arch_sensitivities."""
     grid = rho.grid
-    a = assemble_darcy(rho, cfg)
-    darcy = pressure_factor(a, grid)
-    p = solve_pressure(a, grid, cfg.p0, darcy)
+    darcy, p = solve_pressure(assemble_darcy(rho, cfg), grid, cfg.p0)
     f = pressure_to_loads(p, grid)
-    k = assemble_stiffness(rho, cfg.penal, cfg.material, ke)
+    k = assemble_stiffness(rho, cfg.penal, cfg.material)
     u = fem.solve_many(k, f, arch_supports(cfg))[0]
     return darcy, p, f, u
 
@@ -213,16 +201,15 @@ def arch_sensitivities(
 ) -> np.ndarray:
     """d(compliance)/d(rho) with design-dependent loads.
 
-    Stiffness part is the usual -penal rho^(p-1) (e0 - emin) ce, with ``ce``
-    the unit-modulus element energies from compliance. The load part solves
+    Stiffness part is the usual simp_derivative times ``ce``, the
+    unit-modulus element energies from compliance. The load part solves
     the adjoint A mu = T^T (2u) on the pressure-free nodes and adds mu^T
     (dA/drho_e) p per element; lst=0 drops it (frozen-load approximation).
     The adjoint has the pressure problem's matrix and Dirichlet nodes, so it
     reuses ``darcy``, the factor that solved for ``p`` (see arch_analysis).
     """
     grid = rho.grid
-    mat = cfg.material
-    dc = -cfg.penal * rho.values ** (cfg.penal - 1.0) * (mat.e0 - mat.emin) * ce
+    dc = simp_derivative(rho.values, cfg.penal, cfg.material) * ce
     if cfg.lst:
         rhs = pressure_to_loads_transpose(2.0 * u, grid)
         mu = darcy.solve(rhs[None, :])[0]
@@ -249,8 +236,6 @@ def solve_arch(cfg: PressureConfig) -> OptResult:
     fluid-structure coupling keeps shifting the load, so a change-based stop
     would freeze designs prematurely."""
     grid = cfg.grid
-    mat = cfg.material
-    ke = element_stiffness(mat)
     kernel = build_filter(grid, cfg.rmin)
     n = grid.n_elements
     dg = np.full(n, 1.0 / (n * cfg.vf))
@@ -259,8 +244,8 @@ def solve_arch(cfg: PressureConfig) -> OptResult:
     def step(rho: np.ndarray, it: int) -> tuple[float, np.ndarray]:
         nonlocal state
         rho_field = DensityField(grid, rho)
-        darcy, p, _, u = arch_analysis(rho_field, cfg, ke)
-        c, ce = compliance(u, rho_field, cfg.penal, mat, ke)
+        darcy, p, _, u = arch_analysis(rho_field, cfg)
+        c, ce = compliance(u, rho_field, cfg.penal, cfg.material)
         dc = arch_sensitivities(u, p, rho_field, cfg, ce, darcy)
         dc = sensitivity_filter(rho, dc, kernel)
         g = float(rho.mean() / cfg.vf - 1.0)

@@ -301,7 +301,7 @@ def test_criterion_4_flow_analytics(capsys):
 
     cfg = PressureConfig(nelx=4, nely=50)
     fld = DensityField(cfg.grid, np.zeros(200))
-    p = solve_pressure(assemble_darcy(fld, cfg), cfg.grid, 1.0)
+    _, p = solve_pressure(assemble_darcy(fld, cfg), cfg.grid, 1.0)
     rows = np.arange(51)
     lin_err = max(
         np.abs(p[c * 51 + rows] - rows / 50.0).max() for c in range(5)
@@ -310,7 +310,7 @@ def test_criterion_4_flow_analytics(capsys):
     # 1-D solid column: continuum solution decays to r_d * p0 at depth delta_s
     cfg = PressureConfig(nelx=1, nely=100)
     fld = DensityField(cfg.grid, np.ones(100))
-    p = solve_pressure(assemble_darcy(fld, cfg), cfg.grid, 1.0)
+    _, p = solve_pressure(assemble_darcy(fld, cfg), cfg.grid, 1.0)
     at_depth = p[100 - int(cfg.delta_s)]
     decay_err = abs(at_depth - cfg.r_d * cfg.p0) / (cfg.r_d * cfg.p0)
 

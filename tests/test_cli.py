@@ -125,6 +125,9 @@ class TestSolve:
             ("--penal", "-1", "penal must be at least 1"),
             ("--penal", "0.5", "penal must be at least 1"),
             ("--penal", "nan", "penal must be at least 1"),
+            ("--rmin", "0", "rmin must be positive and finite"),
+            ("--rmin", "nan", "rmin must be positive and finite"),
+            ("--rmin", "inf", "rmin must be positive and finite"),
         ],
     )
     def test_bad_move_or_penal_is_usage_error(self, problem, flag, value, message, tmp_path,
@@ -134,6 +137,16 @@ class TestSolve:
                    "--vf", "0.4", flag, value, "--out", str(out)])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("problem", ["cantilever", "micro"])
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_bad_tol_is_usage_error(self, problem, value, tmp_path, capsys):
+        out = tmp_path / "d.pgm"
+        rc = main(["solve", "--problem", problem, "--nelx", "6", "--nely", "6", "--maxit", "3",
+                   "--vf", "0.4", "--tol", value, "--out", str(out)])
+        assert rc == 2
+        assert "change_tol must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_full_move_limit_still_solves(self, tmp_path):
@@ -163,6 +176,17 @@ class TestGen:
         assert rc == 0
         after = {p: read_bytes(ds_dir / p) for p in os.listdir(ds_dir)}
         assert after == before
+
+    # a step of 1e-9 would list about 1e9 vfs, an infinite stop endless
+    # ones; both are refused before the list is built
+    @pytest.mark.parametrize("flag, value", [("--vf-step", "1e-9"), ("--vf-stop", "inf")])
+    def test_sweep_longer_than_the_file_names_is_usage_error(self, flag, value, tmp_path,
+                                                             capsys):
+        out = tmp_path / "ds"
+        rc = main(["gen", *PHYS, "--out", str(out), flag, value])
+        assert rc == 2
+        assert "collides at 0.01 file-name resolution" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -249,6 +273,26 @@ class TestTrain:
     def test_garbage_profile_file_exits_3(self, tmp_path, manifest):
         prof = tmp_path / "bad.json"
         prof.write_text("not json {")
+        rc = main(["train", "--manifest", manifest, "--profile-file", str(prof),
+                   "--epochs", "2", "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 3
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(b"[" * 100000, id="deep-nesting"),
+            pytest.param(json.dumps(tiny_profile().to_dict())
+                         .replace('"input_size": 8', '"input_size": 1e400').encode(),
+                         id="huge-number"),
+            pytest.param(b"\xff" + json.dumps(tiny_profile().to_dict()).encode(),
+                         id="not-utf8"),
+            pytest.param(json.dumps({**tiny_profile().to_dict(), "decoder": "x"}).encode(),
+                         id="bad-decoder"),
+        ],
+    )
+    def test_malformed_profile_file_exits_3(self, data, tmp_path, manifest):
+        prof = tmp_path / "bad.json"
+        prof.write_bytes(data)
         rc = main(["train", "--manifest", manifest, "--profile-file", str(prof),
                    "--epochs", "2", "--out", str(tmp_path / "x.ckpt")])
         assert rc == 3

@@ -22,6 +22,7 @@ from toacnn.fem import (
     element_nodes,
     element_stiffness,
     factorize,
+    simp_derivative,
     simp_moduli,
     solve_many,
     stiffness_assembly,
@@ -97,6 +98,13 @@ class TestElementStiffness:
         w = np.linalg.eigvalsh(element_stiffness(Material()))
         assert w[0] > -1e-14
         assert np.sum(w < 1e-12) == 3  # exactly the rigid modes
+
+    def test_cached_per_material_and_read_only(self):
+        ke = element_stiffness(Material())
+        assert element_stiffness(Material()) is ke
+        assert element_stiffness(Material(nu=0.25)) is not ke
+        with pytest.raises(ValueError, match="read-only"):
+            ke[0, 0] = 0.0
 
 
 def spq(nu):
@@ -193,6 +201,21 @@ class TestAssembly:
         vals = simp_moduli(np.array([0.0, 1.0]), 3.0, Material())
         assert vals[0] == 1e-9
         assert vals[1] == 1.0
+
+
+def reference_simp_sensitivity(x, penal, mat, e):
+    """The SIMP compliance sensitivity written out, -p x^(p-1) (e0 - emin) e."""
+    return -penal * x ** (penal - 1.0) * (mat.e0 - mat.emin) * e
+
+
+def test_simp_derivative_is_bitwise_the_inline_expression():
+    rng = np.random.default_rng(11)
+    for penal in (1.0, 3.0, 4.5):
+        mat = Material(e0=rng.uniform(0.5, 2.0), emin=1e-9, nu=0.3)
+        x = rng.uniform(0.0, 1.0, 500)
+        e = rng.uniform(0.0, 10.0, 500)
+        ref = reference_simp_sensitivity(x, penal, mat, e)
+        assert (simp_derivative(x, penal, mat) * e).tobytes() == ref.tobytes()
 
 
 def coo_reference(edof, n, blocks):

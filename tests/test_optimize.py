@@ -84,6 +84,13 @@ class TestFilter:
         k = build_filter(g, 2.4)
         assert np.abs(k.weights.toarray() - brute_force_weights(g, 2.4)).max() < 1e-14
 
+    def test_radius_wider_than_the_grid(self):
+        # offsets are capped at the grid size, so this builds as fast as the
+        # grid allows and every element pair gets its weight
+        g = Grid(6, 6)
+        k = build_filter(g, 1e4)
+        assert np.array_equal(k.weights.toarray(), brute_force_weights(g, 1e4))
+
     def test_interior_neighbor_count_rmin_2_4(self):
         # offsets with dx^2 + dy^2 < 5.76: self, 4 at 1, 4 at 2, 4 at 4, 8 at 5
         g = Grid(7, 7)

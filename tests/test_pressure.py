@@ -86,7 +86,7 @@ class TestPressureField:
     def test_void_column_linear_profile(self):
         cfg = PressureConfig(nelx=4, nely=50)
         fld = DensityField(cfg.grid, np.zeros(200))
-        p = solve_pressure(assemble_darcy(fld, cfg), cfg.grid, 1.0)
+        _, p = solve_pressure(assemble_darcy(fld, cfg), cfg.grid, 1.0)
         rows = np.arange(51)
         for c in range(5):
             node_p = p[c * 51 + rows]
@@ -97,7 +97,7 @@ class TestPressureField:
         # r_d * p0; FE at unit resolution lands within 14 percent
         cfg = PressureConfig(nelx=1, nely=100)
         fld = DensityField(cfg.grid, np.ones(100))
-        p = solve_pressure(assemble_darcy(fld, cfg), cfg.grid, 1.0)
+        _, p = solve_pressure(assemble_darcy(fld, cfg), cfg.grid, 1.0)
         depth2 = p[100 - 2]  # node two elements above the inlet
         assert depth2 == pytest.approx(0.1, rel=0.2)
         assert depth2 == pytest.approx(0.08610566, rel=1e-6)
@@ -107,7 +107,7 @@ class TestPressureField:
         rng = np.random.default_rng(8)
         for _ in range(5):
             fld = DensityField(cfg.grid, rng.uniform(0.0, 1.0, 100))
-            p = solve_pressure(assemble_darcy(fld, cfg), cfg.grid, 1.0)
+            _, p = solve_pressure(assemble_darcy(fld, cfg), cfg.grid, 1.0)
             assert p.min() >= -1e-10 and p.max() <= 1.0 + 1e-10
 
     def test_matrix_symmetric(self):
