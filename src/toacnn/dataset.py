@@ -29,7 +29,7 @@ from .pressure import PressureConfig, solve_arch
 # Names the linear-solver code that produced a dataset's targets. A solver
 # change that moves targets, even in their last bits, changes this tag, so a
 # resume re-solves the old samples instead of mixing them with new ones.
-SOLVER_REVISION = "scatter-assembly-1"
+SOLVER_REVISION = "split-band-1"
 
 PROBLEMS = {
     "cantilever": (CantileverConfig, solve_cantilever),

@@ -42,18 +42,15 @@ split result is byte for byte the whole product's (checked on every product
 shape of both profiles in tests/test_neural_layers.py). Smaller products,
 among them all of ``small_profile``'s, stay whole: there a split does not
 pay, and BLAS picks its small-matrix and matrix-vector kernels by size, so a
-split would no longer be bitwise. The helper thread starts with the first
-large product; only raw ``np.matmul`` halves run on it, and a forked child
-starts its own.
+split would no longer be bitwise. The helper thread is the package's one
+(see toacnn.helper); only raw ``np.matmul`` halves run on it.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
+
+from .. import helper
 
 # Products of at least this many multiply-adds (m*k*n) split their output
 # rows with the helper thread. On two cores and one BLAS thread, a hot-cache
@@ -62,34 +59,17 @@ import numpy as np
 # while enc0's (2^22.5) ran up to 2x slower split.
 _SPLIT_MIN_MACS = 1 << 25
 
-_helper: ThreadPoolExecutor | None = None
-_helper_lock = threading.Lock()
-
-
-def _forget_helper():
-    global _helper, _helper_lock
-    _helper = None
-    _helper_lock = threading.Lock()
-
-
-# a forked child has no helper thread, only the parent's executor object
-os.register_at_fork(after_in_child=_forget_helper)
-
 
 def _matmul(a, b):
     """a @ b; in a large product the helper thread computes the lower half of
     the output rows while the calling thread computes the upper half."""
-    global _helper
     m, k = a.shape
     n = b.shape[1]
     if m * k * n < _SPLIT_MIN_MACS:
         return a @ b
-    with _helper_lock:
-        if _helper is None:
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="toacnn-matmul")
     out = np.empty((m, n), dtype=np.result_type(a, b))
     h = m // 2
-    lower = _helper.submit(np.matmul, a[h:], b, out=out[h:])
+    lower = helper.submit(np.matmul, a[h:], b, out=out[h:])
     np.matmul(a[:h], b, out=out[:h])
     lower.result()
     return out

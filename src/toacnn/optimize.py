@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, ClassVar
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import DensityField, Grid, Material
+from .fem import DensityField, Grid, Material, off_heap
 
 # MMA constants: initial asymptote span, adaptation factors, bound offset,
 # and the small positive term that keeps the objective approximation strictly
@@ -133,6 +134,7 @@ class FilterKernel:
     weight_sums: np.ndarray  # row sums of `weights`
 
 
+@lru_cache(maxsize=None)
 def build_filter(grid: Grid, rmin: float) -> FilterKernel:
     """Cone weights between element centers closer than ``rmin``.
 
@@ -140,6 +142,7 @@ def build_filter(grid: Grid, rmin: float) -> FilterKernel:
     with dx^2 + dy^2 < rmin^2 contributes one constant diagonal band. An
     offset as long as the grid pairs no elements, so the offsets stop short
     of that and a radius wider than the grid costs no more than the grid.
+    Built once per grid and radius and shared, so its arrays are read-only.
     """
     if not (0.0 < rmin < math.inf):
         raise ValueError(f"rmin must be positive and finite, got {rmin}")
@@ -166,7 +169,10 @@ def build_filter(grid: Grid, rmin: float) -> FilterKernel:
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(grid.n_elements, grid.n_elements),
     ).tocsr()
-    return FilterKernel(w, np.asarray(w.sum(axis=1)).ravel())
+    # kept for the life of the process: narrow indices, off the heap
+    index = np.int32 if w.nnz < 2**31 else np.int64
+    csr = (off_heap(w.data), off_heap(w.indices.astype(index)), off_heap(w.indptr.astype(index)))
+    return FilterKernel(sp.csr_array(csr, shape=w.shape), off_heap(np.asarray(w.sum(axis=1)).ravel()))
 
 
 def sensitivity_filter(rho: np.ndarray, dc: np.ndarray, kernel: FilterKernel) -> np.ndarray:

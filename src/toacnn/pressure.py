@@ -219,8 +219,8 @@ def arch_sensitivities(
         nodes = element_nodes(grid)
         pe = p[nodes]
         me = mu[nodes]
-        lap_term = np.einsum("ni,ij,nj->n", me, _LAPLACE, pe)
-        mass_term = np.einsum("ni,ij,nj->n", me, _MASS, pe)
+        lap_term = np.einsum("ni,ni->n", me @ _LAPLACE, pe)
+        mass_term = np.einsum("ni,ni->n", me @ _MASS, pe)
         dc = dc + dk * lap_term + dd * mass_term
     return dc
 

@@ -174,11 +174,11 @@ class TestFingerprint:
 
     @pytest.mark.parametrize("problem, cfg_type, expected", [
         ("cantilever", CantileverConfig,
-         "e470b3bf3130b1d1b59e9e34a30cb861e63edbb63ce7cd8f67c965317ea025dd"),
+         "4a08b19c865c5466c4e0c66134a1069d05d489ab56895e23bd01b9d0de702d16"),
         ("arch", PressureConfig,
-         "d786e25d73e193d96c3b395a593f552251928a11aeaa7e64fa2afe111f14f3de"),
+         "d2c5aefed488470f148ac8e033909890518cb2e954a76da97e36d706c2bf317c"),
         ("micro", MicroConfig,
-         "27a89ea6aaf7db840c4216b58eacd3d4a0f7f5757bc0c662cbb3a7b5c2455884"),
+         "fe2dde2138b34bef0bed56da9ceed8a63244a3887b96393b183ae1f4d47557f3"),
     ])
     def test_default_fingerprints_are_pinned(self, problem, cfg_type, expected):
         # a renamed or retyped config field would orphan every stored dataset

@@ -388,7 +388,7 @@ class TestFactor:
         natural = int(max(abs(r - c) for r, c in zip(*k.nonzero()) if r >= 2 and c >= 2))
         assert not np.array_equal(factor.order, free)
         assert np.array_equal(np.sort(factor.order), free)
-        assert factor.bandwidth < natural
+        assert factor.width < natural
         f = rng.standard_normal((3, k.shape[0]))
         u = factor.solve(f)
         for i in range(3):
@@ -416,6 +416,87 @@ class TestFactor:
             solve_many(negated, f, fixed)
         with pytest.raises(SolverFailure):
             factorize(negated, fixed)
+
+    @pytest.mark.parametrize("split", ["none", "middle"])
+    def test_tiny_blocks_with_short_or_empty_halves_match_dense(self, split, monkeypatch):
+        # One back-solve (no refinement at tol=inf) against a dense solve.
+        # Tiny blocks are not split: half A is the whole block, S and B are
+        # empty. With no floor they split in the middle, where half A is
+        # empty or shorter than the band width and half B goes to the helper.
+        import toacnn.fem as fem
+
+        if split == "middle":
+            for name in ("_PBTRF_CONCURRENT_MACS", "_TBSV_CONCURRENT_MACS"):
+                monkeypatch.setattr(fem, name, 0)
+        rng = np.random.default_rng(13)
+        shapes = set()
+        for nelx, nely in [(1, 1), (2, 1), (1, 3), (3, 2), (2, 5), (6, 1)]:
+            g = Grid(nelx, nely)
+            for name, cached, edof, blocks in assembly_cases(g, rng.uniform(0.2, 1.0, g.n_elements)):
+                fixed = np.array([0, 1]) if name != "elastic" else np.arange(2 * (g.nely + 1))
+                k = Assembly.build(edof, cached.shape[0], cached.order).assemble(blocks)
+                factor = factorize(k, fixed)
+                for half, band in zip("AB", factor.halves):
+                    size = band.shape[1] - factor.separator.shape[1]
+                    shapes.add((half, "empty" if size == 0 else "short" if size < factor.width else "long"))
+                f = rng.standard_normal(k.shape[0])
+                u = factor.solve(f, tol=np.inf)[0]
+                uref = dense_eliminated_solve(k, f, fixed, np.zeros(fixed.size))
+                assert np.linalg.norm(u - uref) <= 1e-10 * np.linalg.norm(uref), (name, nelx, nely)
+        if split == "none":
+            assert {shape for half, shape in shapes if half == "B"} == {"empty"}
+        else:
+            assert {("A", "empty"), ("A", "short")} <= shapes
+
+    @pytest.mark.parametrize("part", ["A", "B", "separator"])
+    def test_block_indefinite_in_one_part_raises(self, part, monkeypatch):
+        # a chain of 2x2 blocks on DOFs 0..7 with DOF 7 fixed: the free block
+        # is tridiagonal, w = 1, and with no floor it splits in the middle,
+        # A = {0, 1, 2}, S = {3}, B = {4, 5, 6}. With unit diagonal and
+        # off-diagonal c, [A, S] and [B, S] are positive definite for c = 0.6
+        # while the whole block is not; a coupling of 2 inside a half makes
+        # that half indefinite.
+        import toacnn.fem as fem
+
+        monkeypatch.setattr(fem, "_PBTRF_CONCURRENT_MACS", 0)
+        edof = np.column_stack([np.arange(7), np.arange(1, 8)])
+        assembly = Assembly.build(edof, 8)
+        c = np.full(7, 0.6 if part == "separator" else 0.1)
+        if part != "separator":
+            c[{"A": 0, "B": 5}[part]] = 2.0
+        c[6] = 0.0  # the fixed DOF's coupling
+        blocks = np.array([[[0.5, x], [x, 0.5]] for x in c])
+        blocks[0, 0, 0] = 1.0  # unit diagonal on the first DOF too
+        k = assembly.assemble(blocks)
+        fixed = np.array([7])
+        layout = assembly.band_layout(fixed)
+        assert (layout.width, layout.split) == (1, 3)
+        free = k.toarray()[:7, :7]
+        assert np.linalg.eigvalsh(free).min() < 0.0
+        if part == "separator":
+            assert np.linalg.eigvalsh(free[:4, :4]).min() > 0.0
+            assert np.linalg.eigvalsh(free[3:, 3:]).min() > 0.0
+        where = "separator minor" if part == "separator" else "leading minor"
+        with pytest.raises(SolverFailure, match=f"positive definite.*{where}"):
+            factorize(k, fixed)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_indefinite_half_on_either_thread_raises(self, side, monkeypatch):
+        import toacnn.fem as fem
+
+        # with no floor the block splits in the middle and half B is
+        # factored on the helper thread
+        monkeypatch.setattr(fem, "_PBTRF_CONCURRENT_MACS", 0)
+        g = Grid(40, 20)
+        assembly = Assembly.build(edof_matrix(g), g.n_dofs)
+        fixed = np.arange(2 * (g.nely + 1))
+        layout = assembly.band_layout(fixed)
+        assert 0 < layout.split < layout.order.size - layout.width
+        moduli = np.ones((g.nely, g.nelx))
+        moduli[:, slice(0, 3) if side == "left" else slice(-3, None)] = -1.0
+        k = assembly.assemble(moduli.ravel()[:, None, None] * element_stiffness(Material()))
+        with pytest.raises(SolverFailure, match="positive definite"):
+            factorize(k, fixed)
 
     def test_layout_is_built_once_per_assembly_and_dirichlet_set(self, monkeypatch):
         import toacnn.fem as fem
@@ -449,11 +530,20 @@ class TestFactor:
         cold = factorize(Assembly.build(edof_matrix(g), g.n_dofs).assemble(blocks[1]), fixed)
         assert len(built) == 3
         assert np.array_equal(cold.order, warm[1].order)
-        assert np.array_equal(cold.cholesky, warm[1].cholesky)
+        for name in ("halves", "couplings"):
+            for a, b in zip(getattr(cold, name), getattr(warm[1], name)):
+                assert np.array_equal(a, b)
+        assert np.array_equal(cold.separator, warm[1].separator)
 
-    def test_concurrent_factorizations_match_serial(self):
+    @pytest.mark.parametrize("floor", ["default", "none"])
+    def test_concurrent_factorizations_match_serial(self, floor, monkeypatch):
         import threading
 
+        import toacnn.fem as fem
+
+        if floor == "none":  # every half B goes to the one helper thread
+            for name in ("_PBTRF_CONCURRENT_MACS", "_TBSV_CONCURRENT_MACS"):
+                monkeypatch.setattr(fem, name, 0)
         rng = np.random.default_rng(10)
         ke = element_stiffness(Material())
         cases = []
@@ -462,7 +552,7 @@ class TestFactor:
             blocks = rng.uniform(0.1, 1.0, g.n_elements)[:, None, None] * ke
             fixed = np.arange(2 * (g.nely + 1))
             f = rng.standard_normal(g.n_dofs)
-            ref = solve_many(stiffness_assembly(g).assemble(blocks), f, fixed)
+            ref = solve_many(Assembly.build(edof_matrix(g), g.n_dofs).assemble(blocks), f, fixed)
             cases.append((g, blocks, fixed, f, ref))
         # fresh assemblies, shared by all threads: their layouts are built
         # while other threads factor on the same assembly
@@ -526,6 +616,7 @@ runs = [
     solve_cantilever(CantileverConfig(nelx=100, nely=100, max_iters=2)),
     solve_arch(PressureConfig(nelx=40, nely=40, vf=0.3, maxit=4)),
     solve_micro(MicroConfig(nelx=40, nely=40, max_iters=3)),
+    solve_micro(MicroConfig(nelx=100, nely=100, max_iters=1)),  # folded band, w = 405
 ]
 for r in runs:
     print(hashlib.sha256(r.field.values.tobytes()).hexdigest(), repr(r.objective))
@@ -544,8 +635,18 @@ def test_results_do_not_depend_on_blas_thread_count():
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert len(outputs[0].splitlines()) == 3
+    assert len(outputs[0].splitlines()) == 4
     assert outputs[0] == outputs[1]
+
+
+def test_large_solve_leaves_one_helper_thread():
+    import threading
+
+    from toacnn.cantilever import CantileverConfig, solve_cantilever
+
+    solve_cantilever(CantileverConfig(nelx=100, nely=100, max_iters=1))
+    helpers = [t for t in threading.enumerate() if t.name.startswith("toacnn-helper")]
+    assert len(helpers) == 1
 
 
 class TestCompliance:

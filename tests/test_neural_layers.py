@@ -12,6 +12,7 @@ from _gradcheck import fd_grad, rel_err, scalar_fd
 from numpy.lib.stride_tricks import sliding_window_view
 
 import toacnn
+from toacnn import helper
 from toacnn.neural import layers
 from toacnn.neural.layers import (
     conv2d_backward,
@@ -387,7 +388,7 @@ class TestSplitProduct:
         rng = np.random.default_rng(12)
         a, b = rand(rng, 512, 256), rand(rng, 256, 512)
         layers._matmul(a, b)
-        assert layers._helper is not None
+        assert helper._executor is not None
         child = multiprocessing.get_context("fork").Process(target=_split_in_child, args=(a, b))
         child.start()
         child.join(timeout=60)

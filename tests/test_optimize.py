@@ -84,6 +84,14 @@ class TestFilter:
         k = build_filter(g, 2.4)
         assert np.abs(k.weights.toarray() - brute_force_weights(g, 2.4)).max() < 1e-14
 
+    def test_built_once_per_grid_and_radius_and_read_only(self):
+        k = build_filter(Grid(7, 5), 2.4)
+        assert build_filter(Grid(7, 5), 2.4) is k
+        assert build_filter(Grid(7, 5), 1.5) is not k
+        for a in (k.weights.data, k.weights.indices, k.weights.indptr, k.weight_sums):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
     def test_radius_wider_than_the_grid(self):
         # offsets are capped at the grid size, so this builds as fast as the
         # grid allows and every element pair gets its weight
