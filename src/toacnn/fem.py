@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import ctypes
 import mmap
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -207,34 +205,17 @@ class AssembledMatrix(sp.csr_array):
     assembly: "Assembly | None" = None
 
 
-_MADV_POPULATE_WRITE = 23  # Linux 5.14 on; Python's mmap module does not name it
-# A 4 KiB-aligned map holds at least three whole 2 MiB huge pages from here on
-_HUGE_PAGES_FROM = 8 << 20
-
-
 def _anonymous_map(nbytes: int) -> mmap.mmap:
     """Zeroed memory in its own map, faulted in at once where the platform
-    allows it, on transparent huge pages from 8 MiB on.
+    allows it.
 
     Bands and cached patterns live here rather than in the malloc heap. Once
     glibc frees a mapped block of up to 32 MiB it serves later blocks of
     that size from the heap, and keeps freed heap pages resident: a 100x100
-    band of 33 MB would then stay resident after its solve is done. Huge
-    pages cut the cost of faulting in the two 17 MB half bands of a 100x100
-    factorization from 14.6 to 9.6 ms; they have to be asked for before the
-    pages fault in, so large maps are populated by a second madvise, which
-    a kernel older than 5.14 refuses (the pages then fault in on first touch).
+    band of 33 MB would then stay resident after its solve is done.
     """
-    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
-    if nbytes < _HUGE_PAGES_FROM or sys.platform != "linux":
-        return mmap.mmap(-1, max(nbytes, 1), flags=flags | getattr(mmap, "MAP_POPULATE", 0))
-    m = mmap.mmap(-1, nbytes, flags=flags)
-    for advice in (mmap.MADV_HUGEPAGE, _MADV_POPULATE_WRITE):
-        try:
-            m.madvise(advice)
-        except OSError:
-            pass
-    return m
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+    return mmap.mmap(-1, max(nbytes, 1), flags=flags)
 
 
 def off_heap(x: np.ndarray) -> np.ndarray:
@@ -307,13 +288,13 @@ class Assembly:
         cols = np.tile(edof, (1, k)).ravel()
         keys, scatter = np.unique(rows.astype(np.int64) * n + cols, return_inverse=True)
         indptr = np.searchsorted(keys, np.arange(n + 1) * n)  # keys are sorted row-major
-        order = np.arange(n) if order is None else np.asarray(order)
+        order = np.arange(n) if order is None else np.asarray(order, dtype=np.int64)
         # the arrays stay resident, so they are kept narrow; bincount widens
-        # the scatter on every call, which costs 0.5 ms at 100x100 and saves
-        # 2.6 MB of resident memory there
+        # the scatter on every call, 0.5 ms at 100x100, where it keeps 2.6 MB
+        # less resident
         index = np.int32 if max(keys.size, scatter.size) < 2**31 else np.int64
-        narrow = (indptr, keys % n, scatter, order)
-        return cls((n, n), *(off_heap(a.astype(index)) for a in narrow))
+        pattern = (indptr.astype(index), (keys % n).astype(index), scatter.astype(index))
+        return cls((n, n), *map(off_heap, pattern), off_heap(order))
 
     def assemble(self, blocks: np.ndarray) -> AssembledMatrix:
         """Sum of the ``(n_elements, k, k)`` element ``blocks`` on the pattern.
@@ -350,7 +331,7 @@ class Assembly:
         # the w DOFs of the separator start here when the halves are worth
         # factoring at once; else the block is not split
         m, sep = (order.size - w) // 2, w
-        if m * w * w < _PBTRF_CONCURRENT_MACS:
+        if m * w * w < _SPLIT_MIN_MACS:
             m, sep = order.size, 0
         last = order.size - 1
         in_a, in_b = j < m + sep, i >= m
@@ -370,28 +351,16 @@ def stiffness_assembly(grid: Grid) -> Assembly:
     return Assembly.build(edof_matrix(grid), grid.n_dofs)
 
 
-# A block splits, and its halves' pbtrf runs on the helper thread, only from
-# this many multiply-adds per half (size * w^2); below it half A is the whole
-# block, and S and B are empty. A tbsv sweep of half B goes to the helper
-# from size * w multiply-adds on.
-# Waking the helper after a pause costs 0.1-0.3 ms, and on a shared 2-vCPU
-# host the two vCPUs often run at speeds 1.5x apart, so the main thread's
-# serial work suffers when it has to sleep and wake up again. Factorize at
-# 40x40 (halves of 1.2e7) went 7.7 -> 5.8 ms in an in-process loop, yet
-# 40x40 sweeps ran slower in separate processes with the split than without
-# it; at 100x100 (4.2e8) factorize went 91 -> 61 ms and a solve 9.7 -> 6.7 ms
-# (tbsv halves of 2.1e6).
-_PBTRF_CONCURRENT_MACS = 1 << 27
-_TBSV_CONCURRENT_MACS = 1 << 20
-
-
-def _handoff(concurrent: bool, fn, *args) -> Callable[[], Any]:
-    """Start fn(*args) on the helper thread if ``concurrent``, else run it
-    here; returns a call that waits for its result."""
-    if concurrent:
-        return helper.submit(fn, *args).result
-    result = fn(*args)
-    return lambda: result
+# A block splits only from this many multiply-adds per half (size * w^2);
+# below it half A is the whole block, and S and B are empty. Half B of a
+# split block is factored and swept on the helper thread. Measured crossover,
+# per-process solves of 12 iterations at one BLAS thread on a 2-vCPU host,
+# median ms per iteration whole -> split over 5-6 alternating pairs:
+# cantilever 40x40 (halves of 1.2e7) 10.1 -> 11.0 and arch 40x40 13.8 ->
+# 15.8 lose; micro 40x40 (4.1e7) 17.5 -> 16.9 is even; cantilever 60x60
+# (5.6e7) 27.6 -> 23.4, micro 60x60 (2.1e8) 54.5 -> 51.4, cantilever 80x80
+# (1.7e8) 60.4 -> 44.5 and 100x100 (4.2e8) 108.5 -> 82.5 gain.
+_SPLIT_MIN_MACS = 5 * 10**7
 
 
 def _blas_routine(module, name: str, *argtypes):
@@ -417,7 +386,6 @@ _DTBSV = _blas_routine(
 _DSYRK = _blas_routine(
     cython_blas, "dsyrk", _CHAR, _CHAR, _INT, _INT, _PTR, _PTR, _INT, _PTR, _PTR, _INT
 )
-_DLASET = _blas_routine(cython_lapack, "dlaset", _CHAR, _INT, _INT, _PTR, _PTR, _PTR, _INT)
 
 
 def _ints(*values: int):
@@ -444,6 +412,12 @@ def _tbsv(band: np.ndarray, kd: int, x: np.ndarray, transpose: bool, backwards: 
                *_ints(band.shape[0]), x.ctypes.data, *_ints(-1 if backwards else 1))
 
 
+def _check_definite(info: int, where: str) -> None:
+    """Raise SolverFailure for a _pbtrf ``info`` that names a failed minor."""
+    if info > 0:
+        raise SolverFailure(f"free block is not positive definite ({where} minor {info})")
+
+
 def _lead(a: np.ndarray) -> int:
     """Leading dimension of ``a``, a Fortran-order array or a view with
     unit row stride."""
@@ -457,16 +431,6 @@ def _syrk_down(c: np.ndarray, a: np.ndarray) -> None:
         minus, one = ctypes.c_double(-1.0), ctypes.c_double(1.0)
         _DSYRK(b"U", b"T", *_ints(n, k), ctypes.byref(minus), a.ctypes.data, *_ints(_lead(a)),
                ctypes.byref(one), c.ctypes.data, *_ints(_lead(c)))
-
-
-def _zero_triangle(a: np.ndarray, uplo: bytes) -> None:
-    """Zero the upper (``uplo`` b"U") or lower triangle of ``a`` (see
-    _lead), diagonal included, in place."""
-    m, n = a.shape
-    if m and n:
-        zero = ctypes.c_double(0.0)
-        _DLASET(uplo, *_ints(m, n), ctypes.byref(zero), ctypes.byref(zero), a.ctypes.data,
-                *_ints(_lead(a)))
 
 
 def _band_block(band: np.ndarray, i: int, j: int, rows: int, cols: int) -> np.ndarray:
@@ -550,6 +514,10 @@ class Factor:
         its sweeps read B's part of b backwards; the helper thread takes them."""
         (band_a, band_b), (w_a, w_b), w = self.halves, self.couplings, self.width
         sep = self.separator.shape[1]
+        if not sep:  # a block too small to split is half A alone
+            _tbsv(band_a, w, b, True)
+            _tbsv(band_a, w, b, False)
+            return b
         m = band_a.shape[1] - sep
         x_a, x_s, x_b = b[:m], b[m : m + sep], b[m + sep :]
         tail_a, head_b = x_a[m - w_a.shape[0] :], x_b[: w_b.shape[0]]
@@ -557,10 +525,9 @@ class Factor:
             if not transpose:
                 tail_a -= w_a @ x_s
                 head_b -= w_b @ x_s
-            concurrent = x_b.size * w >= _TBSV_CONCURRENT_MACS
-            half_b = _handoff(concurrent, _tbsv, band_b, w, x_b, transpose, True)
+            half_b = helper.submit(_tbsv, band_b, w, x_b, transpose, True)
             _tbsv(band_a, w, x_a, transpose)
-            half_b()
+            half_b.result()
             if transpose:
                 x_s -= w_a.T @ tail_a + w_b.T @ head_b
                 _tbsv(self.separator, sep - 1, x_s, True)
@@ -590,7 +557,14 @@ def factorize(matrix: AssembledMatrix, fixed_dofs: np.ndarray) -> Factor:
         raise ValueError("at least one constrained DOF is required")
     layout = assembly.band_layout(fixed_dofs)
     w, m, sep = layout.width, layout.split, layout.separator
-    halves = band_a, band_b = layout.band(0, matrix.data), layout.band(1, matrix.data)
+    band_a = layout.band(0, matrix.data)
+    if not sep:  # a block too small to split is half A alone
+        _check_definite(_pbtrf(band_a, w), "leading")
+        empty = band_a[:0, :0]
+        return Factor(matrix, fixed_dofs, layout.order, w, (band_a, band_a[:, :0]),
+                      (empty, empty), band_a[:1, :0])
+    band_b = layout.band(1, matrix.data)
+    halves = band_a, band_b
     # The separator and W_B share a map of their own. From the heap, such
     # blocks left between a 100x100 solve's large arrays raised the peak
     # resident size of the work that followed by 4 MB in a third of the runs.
@@ -605,27 +579,24 @@ def factorize(matrix: AssembledMatrix, fixed_dofs: np.ndarray) -> Factor:
     schur = separator.reshape(-1, order="F")[sep - 1 : sep - 1 + sep * sep]
     schur = schur.reshape((sep, sep), order="F")
     schur[...] = _band_block(band_a, m, m, sep, sep)  # K_SS, before pbtrf overwrites it
-    _zero_triangle(schur[1:], b"L")
-    half_b = _handoff(band_b.size * w >= _PBTRF_CONCURRENT_MACS, _pbtrf, band_b, w)
-    infos = (_pbtrf(band_a, w), half_b())
+    schur[np.tril_indices(sep, -1)] = 0.0
+    half_b = helper.submit(_pbtrf, band_b, w)
+    infos = (_pbtrf(band_a, w), half_b.result())
     couplings = []
     for band, info, k in zip(halves, infos, rows):
-        if info > 0:
-            raise SolverFailure(f"free block is not positive definite (leading minor {info})")
+        _check_definite(info, "leading")
         # The factor's rows of the half against S. In this view the entries
         # further than w from the diagonal alias the factor of the half's own
         # S block, which nothing reads, so they are zeroed in place.
         size = band.shape[1] - sep
         couplings.append(_band_block(band, size - k, size, k, sep))
-        _zero_triangle(couplings[-1][:, w - k + 1 :], b"U")
+        couplings[-1][np.triu_indices(k, w - k + 1, sep)] = 0.0
     w_a, reversed_w_b = couplings
     w_b = memory[(sep + 1) * sep :].reshape(reversed_w_b.shape, order="F")
     w_b[...] = reversed_w_b[::-1, ::-1]  # B's rows and S back in their natural order
     for coupling in (w_a, w_b):
         _syrk_down(schur, coupling)
-    info = _pbtrf(separator, sep - 1)
-    if info > 0:
-        raise SolverFailure(f"free block is not positive definite (separator minor {info})")
+    _check_definite(_pbtrf(separator, sep - 1), "separator")
     return Factor(matrix, fixed_dofs, layout.order, w, halves, (w_a, w_b), separator)
 
 

@@ -426,8 +426,7 @@ class TestFactor:
         import toacnn.fem as fem
 
         if split == "middle":
-            for name in ("_PBTRF_CONCURRENT_MACS", "_TBSV_CONCURRENT_MACS"):
-                monkeypatch.setattr(fem, name, 0)
+            monkeypatch.setattr(fem, "_SPLIT_MIN_MACS", 0)
         rng = np.random.default_rng(13)
         shapes = set()
         for nelx, nely in [(1, 1), (2, 1), (1, 3), (3, 2), (2, 5), (6, 1)]:
@@ -458,7 +457,7 @@ class TestFactor:
         # that half indefinite.
         import toacnn.fem as fem
 
-        monkeypatch.setattr(fem, "_PBTRF_CONCURRENT_MACS", 0)
+        monkeypatch.setattr(fem, "_SPLIT_MIN_MACS", 0)
         edof = np.column_stack([np.arange(7), np.arange(1, 8)])
         assembly = Assembly.build(edof, 8)
         c = np.full(7, 0.6 if part == "separator" else 0.1)
@@ -486,7 +485,7 @@ class TestFactor:
 
         # with no floor the block splits in the middle and half B is
         # factored on the helper thread
-        monkeypatch.setattr(fem, "_PBTRF_CONCURRENT_MACS", 0)
+        monkeypatch.setattr(fem, "_SPLIT_MIN_MACS", 0)
         g = Grid(40, 20)
         assembly = Assembly.build(edof_matrix(g), g.n_dofs)
         fixed = np.arange(2 * (g.nely + 1))
@@ -542,8 +541,7 @@ class TestFactor:
         import toacnn.fem as fem
 
         if floor == "none":  # every half B goes to the one helper thread
-            for name in ("_PBTRF_CONCURRENT_MACS", "_TBSV_CONCURRENT_MACS"):
-                monkeypatch.setattr(fem, name, 0)
+            monkeypatch.setattr(fem, "_SPLIT_MIN_MACS", 0)
         rng = np.random.default_rng(10)
         ke = element_stiffness(Material())
         cases = []
