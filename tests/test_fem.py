@@ -431,13 +431,15 @@ class TestFactor:
         shapes = set()
         for nelx, nely in [(1, 1), (2, 1), (1, 3), (3, 2), (2, 5), (6, 1)]:
             g = Grid(nelx, nely)
-            for name, cached, edof, blocks in assembly_cases(g, rng.uniform(0.2, 1.0, g.n_elements)):
+            values = rng.uniform(0.2, 1.0, g.n_elements)
+            for name, cached, edof, blocks in assembly_cases(g, values):
                 fixed = np.array([0, 1]) if name != "elastic" else np.arange(2 * (g.nely + 1))
                 k = Assembly.build(edof, cached.shape[0], cached.order).assemble(blocks)
                 factor = factorize(k, fixed)
                 for half, band in zip("AB", factor.halves):
                     size = band.shape[1] - factor.separator.shape[1]
-                    shapes.add((half, "empty" if size == 0 else "short" if size < factor.width else "long"))
+                    kind = "empty" if size == 0 else "short" if size < factor.width else "long"
+                    shapes.add((half, kind))
                 f = rng.standard_normal(k.shape[0])
                 u = factor.solve(f, tol=np.inf)[0]
                 uref = dense_eliminated_solve(k, f, fixed, np.zeros(fixed.size))
