@@ -18,7 +18,10 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import ctypes
+import math
 import mmap
+import weakref
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -191,8 +194,8 @@ def simp_derivative(values: np.ndarray, penal: float, material: Material) -> np.
 
 def assemble_stiffness(rho: DensityField, penal: float, material: Material) -> AssembledMatrix:
     """Global stiffness with SIMP-scaled element blocks; bitwise symmetric."""
-    blocks = simp_moduli(rho.values, penal, material)[:, None, None] * element_stiffness(material)
-    return stiffness_assembly(rho.grid).assemble(blocks)
+    moduli = simp_moduli(rho.values, penal, material)
+    return stiffness_assembly(rho.grid).assemble_scaled((moduli, element_stiffness(material)))
 
 
 class AssembledMatrix(sp.csr_array):
@@ -209,22 +212,138 @@ def _anonymous_map(nbytes: int) -> mmap.mmap:
     """Zeroed memory in its own map, faulted in at once where the platform
     allows it.
 
-    Bands and cached patterns live here rather than in the malloc heap. Once
-    glibc frees a mapped block of up to 32 MiB it serves later blocks of
-    that size from the heap, and keeps freed heap pages resident: a 100x100
-    band of 33 MB would then stay resident after its solve is done.
+    Cached patterns, bands and a solver run's buffers live here rather than
+    in the malloc heap. Once glibc frees a mapped block of up to 32 MiB it
+    serves later blocks of that size from the heap, and keeps freed heap
+    pages resident: a 100x100 band of 33 MB would then stay resident after
+    its solve is done. A map is unmapped once nothing uses it. Within a
+    solver run the Workspace hands a dead band's map to the next band of its
+    size, so only the first analysis of a run maps and faults in its own.
     """
     flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
     return mmap.mmap(-1, max(nbytes, 1), flags=flags)
 
 
+def _mapped(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """A zeroed C-order array of ``shape`` in a map of its own."""
+    count, dtype = math.prod(shape), np.dtype(dtype)
+    return np.frombuffer(_anonymous_map(count * dtype.itemsize), dtype, count).reshape(shape)
+
+
 def off_heap(x: np.ndarray) -> np.ndarray:
     """Read-only copy of ``x`` in its own map, for arrays kept for the
     life of the process; see _anonymous_map."""
-    out = np.frombuffer(_anonymous_map(x.nbytes), dtype=x.dtype, count=x.size)
+    out = _mapped((x.size,), x.dtype)
     out[:] = x
     out.flags.writeable = False
     return out
+
+
+_WORKSPACE: ContextVar["Workspace | None"] = ContextVar("toacnn_workspace", default=None)
+
+# glibc returns a freed top of its heap to the system only above a trim
+# threshold that its large frees keep raising, so a run's freed arrays can
+# stay resident after it; a closing Workspace asks for them back
+_malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+if _malloc_trim is not None:
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+
+
+class Workspace:
+    """The memory of one solver run, reused by each analysis of the run.
+
+    ``with Workspace():`` opens it for the code that runs in the block, in
+    this thread and context only; optimize opens one per run, so the
+    threads of a parallel sweep each have their own. Inside it the bands
+    and separators of factorize come from the maps of dead factors (see
+    ``zeros``), the element blocks of an assembly borrow one of those maps
+    until the matrix is summed (see ``borrow``), bincount reads a scatter
+    widened once, and ``keep`` holds other per-run constants. Closing it
+    drops all of these, so nothing of the run stays mapped after it, and
+    returns the heap pages the run freed; outside a run every analysis maps
+    its own memory.
+    """
+
+    def __init__(self):
+        # maps no array uses; only the run's own thread takes from the list,
+        # while an array's finalizer may append on any thread
+        self._free: list[mmap.mmap] | None = []
+        self._kept: dict = {}
+        self._token = None
+
+    def __enter__(self) -> "Workspace":
+        self._token = _WORKSPACE.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _WORKSPACE.reset(self._token)
+        self._free, self._kept = None, {}
+        if _malloc_trim is not None:
+            _malloc_trim(0)
+
+    def _lend(self, memory: mmap.mmap, count: int) -> np.ndarray:
+        """``count`` doubles over ``memory``, which returns to the free list
+        when the array dies. Every view, as_strided ones included, keeps the
+        array alive, so a live Factor's maps are never handed out again."""
+        out = np.frombuffer(memory, dtype=np.float64, count=count)
+        weakref.finalize(out, _give_back, weakref.ref(self), memory).atexit = False
+        return out
+
+    def _take(self, fits) -> mmap.mmap | None:
+        """Remove and return the smallest free map whose size ``fits``."""
+        sizes = [(len(m), i) for i, m in enumerate(self._free) if fits(len(m))]
+        return self._free.pop(min(sizes)[1]) if sizes else None
+
+    def zeros(self, count: int) -> np.ndarray:
+        """``count`` zeroed doubles in a map of their own: a free map of
+        exactly their size, zeroed because pbtrf leaves fill where a band's
+        pattern has zeros, else a new one."""
+        nbytes = max(8 * count, 1)
+        memory = self._take(lambda size: size == nbytes)
+        if memory is None:
+            return self._lend(_anonymous_map(nbytes), count)
+        out = self._lend(memory, count)
+        out.fill(0.0)
+        return out
+
+    def borrow(self, shape: tuple[int, ...]) -> np.ndarray:
+        """Doubles of ``shape`` in the smallest free map that holds them, as
+        they were left, else in a new map that is dropped with them. Scratch
+        that dies before the next band is made adds nothing resident this
+        way: from the second analysis of a run on, it lands in the last
+        one's band."""
+        count = math.prod(shape)
+        memory = self._take(lambda size: size >= 8 * count)
+        return _mapped(shape) if memory is None else self._lend(memory, count).reshape(shape)
+
+    def keep(self, key, make):
+        """``make()``, made on the first call with ``key`` in this run."""
+        if key not in self._kept:
+            self._kept[key] = make()
+        return self._kept[key]
+
+
+def _give_back(workspace: "weakref.ref[Workspace]", memory: mmap.mmap) -> None:
+    """Return a map whose array died to its run, unless the run is over;
+    then the map is dropped, and unmapped with its last reference."""
+    ws = workspace()
+    free = None if ws is None else ws._free
+    if free is not None:
+        free.append(memory)
+
+
+def _zeros(count: int) -> np.ndarray:
+    """``count`` zeroed doubles in their own map: from the open solver run's
+    Workspace, else a fresh map."""
+    ws = _WORKSPACE.get()
+    return _mapped((count,)) if ws is None else ws.zeros(count)
+
+
+def per_run(key, make):
+    """``make()``, kept for the rest of the open solver run under ``key``
+    (see Workspace.keep); outside a run, made afresh on every call."""
+    ws = _WORKSPACE.get()
+    return make() if ws is None else ws.keep(key, make)
 
 
 @dataclass(frozen=True)
@@ -251,12 +370,11 @@ class _BandLayout:
 
     def band(self, h: int, data: np.ndarray) -> np.ndarray:
         """Band ``h`` (0 for [A, S], 1 for [B, S] reversed) of the matrix
-        with CSR data ``data``, in its own map and in Fortran order, which
-        lets LAPACK factor it in place."""
+        with CSR data ``data``, in its own map (see _zeros) and in Fortran
+        order, which lets LAPACK factor it in place."""
         w = self.width
         shape = (w + 1, self.split + self.separator if h == 0 else self.order.size - self.split)
-        size = shape[0] * shape[1]
-        band = np.frombuffer(_anonymous_map(8 * size), dtype=np.float64, count=size)
+        band = _zeros(shape[0] * shape[1])
         band[self.slots[h]] = data[self.entries[h]]
         return band.reshape(shape, order="F")
 
@@ -289,9 +407,9 @@ class Assembly:
         keys, scatter = np.unique(rows.astype(np.int64) * n + cols, return_inverse=True)
         indptr = np.searchsorted(keys, np.arange(n + 1) * n)  # keys are sorted row-major
         order = np.arange(n) if order is None else np.asarray(order, dtype=np.int64)
-        # the arrays stay resident, so they are kept narrow; bincount widens
-        # the scatter on every call, 0.5 ms at 100x100, where it keeps 2.6 MB
-        # less resident
+        # the arrays stay resident, so they are kept narrow, 2.6 MB less at
+        # 100x100; bincount reads the scatter widened to intp, and a solver
+        # run widens it once (see assemble)
         index = np.int32 if max(keys.size, scatter.size) < 2**31 else np.int64
         pattern = (indptr.astype(index), (keys % n).astype(index), scatter.astype(index))
         return cls((n, n), *map(off_heap, pattern), off_heap(order))
@@ -304,11 +422,34 @@ class Assembly:
         element values in the same element order, so symmetric blocks give a
         matrix symmetric to the last bit wherever each element's DOFs are
         distinct (all meshes but a periodic cell one element wide).
+        bincount reads the scatter widened to intp: once per solver run
+        inside one (see Workspace), else on every call.
         """
-        data = np.bincount(self.scatter, weights=blocks.ravel(), minlength=self.indices.size)
+        ws = _WORKSPACE.get()
+        scatter = self.scatter if ws is None else ws.keep(("scatter", self), self._wide_scatter)
+        data = np.bincount(scatter, weights=blocks.ravel(), minlength=self.indices.size)
         matrix = AssembledMatrix((data, self.indices, self.indptr), shape=self.shape)
         matrix.assembly = self
         return matrix
+
+    def _wide_scatter(self) -> np.ndarray:
+        wide = _mapped(self.scatter.shape, np.intp)
+        wide[:] = self.scatter
+        return wide
+
+    def assemble_scaled(self, *terms: tuple[np.ndarray, np.ndarray]) -> AssembledMatrix:
+        """assemble of the element blocks sum_t c_t[e] m_t, summed in the
+        order given, of ``terms`` ``(c_t, m_t)``: per-element coefficients
+        and one ``(k, k)`` element matrix. Inside a solver run the blocks
+        borrow a free map of its Workspace (see Workspace.borrow), else they
+        take a fresh array."""
+        (c, m), *rest = terms
+        ws = _WORKSPACE.get()
+        out = None if ws is None else ws.borrow((c.size, *m.shape))
+        blocks = np.multiply(c[:, None, None], m, out=out)
+        for c, m in rest:
+            blocks += c[:, None, None] * m
+        return self.assemble(blocks)
 
     def band_layout(self, fixed_dofs: np.ndarray) -> _BandLayout:
         """Band layout of the free block left by Dirichlet DOFs ``fixed_dofs``
@@ -569,8 +710,7 @@ def factorize(matrix: AssembledMatrix, fixed_dofs: np.ndarray) -> Factor:
     # blocks left between a 100x100 solve's large arrays raised the peak
     # resident size of the work that followed by 4 MB in a third of the runs.
     rows = [min(band.shape[1] - sep, w) for band in halves]
-    count = (sep + 1 + rows[1]) * sep
-    memory = np.frombuffer(_anonymous_map(8 * count), dtype=np.float64, count=count)
+    memory = _zeros((sep + 1 + rows[1]) * sep)
     separator = memory[: (sep + 1) * sep].reshape((sep + 1, sep), order="F")
     # A full band (kd = sep - 1) with ldab = sep + 1 is the dense Fortran
     # matrix with leading dimension sep that starts at flat position sep - 1,

@@ -23,6 +23,7 @@ from .fem import (
     Material,
     edof_matrix,
     element_stiffness,
+    per_run,
     simp_derivative,
     simp_moduli,
     solve_many,
@@ -75,6 +76,21 @@ def unit_strain_fields(grid: Grid) -> np.ndarray:
     return out
 
 
+def _unit_strains(grid: Grid, ke: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit strain fields per element, (3, n_elements, 8), and their
+    products with ``ke``; they depend on grid and material alone."""
+    ustar = unit_strain_fields(grid)[:, edof_matrix(grid)]
+    out = ustar, ustar @ ke  # ke is symmetric
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _reduced_loads(fe: np.ndarray, edof_red: np.ndarray) -> np.ndarray:
+    """(3, n_reduced) sums of the element forces ``fe`` on the reduced DOFs."""
+    return np.stack([np.bincount(edof_red.ravel(), f.ravel(), 2 * f.shape[0]) for f in fe])
+
+
 def homogenize(
     rho: DensityField, penal: float, material: Material
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -89,15 +105,17 @@ def homogenize(
     ke = element_stiffness(material)
     edof_red = _periodic_edof(grid.nelx, grid.nely)
     moduli = simp_moduli(rho.values, penal, material)
-    k_red = periodic_assembly(grid).assemble(moduli[:, None, None] * ke)
-
-    ustar = unit_strain_fields(grid)[:, edof_matrix(grid)]  # (3, n_elements, 8)
-    fe = moduli[:, None] * (ustar @ ke)  # ke is symmetric
-    rhs = np.stack([np.bincount(edof_red.ravel(), f.ravel(), k_red.shape[0]) for f in fe])
+    ustar, ustar_ke = per_run(("unit strains", grid, material), lambda: _unit_strains(grid, ke))
 
     # anchor the master node at the origin corner; periodicity leaves only
-    # the two translations in the kernel
-    w_red = solve_many(k_red, -rhs, np.array([0, 1]))
+    # the two translations in the kernel. The matrix and the loads die with
+    # the solve: in a solver run its band stays mapped for the next analysis
+    # while the energies below are formed.
+    w_red = solve_many(
+        periodic_assembly(grid).assemble_scaled((moduli, ke)),
+        -_reduced_loads(moduli[:, None] * ustar_ke, edof_red),
+        np.array([0, 1]),
+    )
 
     area = float(grid.n_elements)
     totals = ustar + w_red[:, edof_red]

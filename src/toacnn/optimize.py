@@ -27,7 +27,7 @@ from typing import Callable, ClassVar
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import DensityField, Grid, Material, off_heap
+from .fem import DensityField, Grid, Material, Workspace, off_heap
 
 # MMA constants: initial asymptote span, adaptation factors, bound offset,
 # and the small positive term that keeps the objective approximation strictly
@@ -111,19 +111,23 @@ def optimize(
 
     Stops after ``max_iters`` iterations or once the max density change
     falls below ``change_tol`` (never, at the default 0), then re-analyzes
-    the final design with ``cfg.evaluate``. ``iteration`` is 1-based.
+    the final design with ``cfg.evaluate``. ``iteration`` is 1-based. The
+    run, final analysis included, has one Workspace: each analysis reuses
+    the memory of the one before, and the run's memory is released when it
+    returns or raises.
     """
     history: list[tuple[float, float]] = []
     iters = 0
-    for iters in range(1, max_iters + 1):
-        obj, rho_new = step(rho, iters)
-        change = float(np.abs(rho_new - rho).max())
-        rho = rho_new
-        history.append((obj, change))
-        if change < change_tol:
-            break
-    final = DensityField(cfg.grid, rho)
-    return OptResult(final, cfg.evaluate(final), iters, history)
+    with Workspace():
+        for iters in range(1, max_iters + 1):
+            obj, rho_new = step(rho, iters)
+            change = float(np.abs(rho_new - rho).max())
+            rho = rho_new
+            history.append((obj, change))
+            if change < change_tol:
+                break
+        final = DensityField(cfg.grid, rho)
+        return OptResult(final, cfg.evaluate(final), iters, history)
 
 
 @dataclass(frozen=True)

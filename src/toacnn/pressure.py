@@ -127,9 +127,7 @@ def _darcy_assembly(grid: Grid) -> Assembly:
 def assemble_darcy(rho: DensityField, cfg: PressureConfig) -> AssembledMatrix:
     """Node-based flow matrix A = sum_e (K_e laplace + D_e mass)."""
     k, d = flow_properties(rho.values, cfg)
-    return _darcy_assembly(rho.grid).assemble(
-        k[:, None, None] * _LAPLACE + d[:, None, None] * _MASS
-    )
+    return _darcy_assembly(rho.grid).assemble_scaled((k, _LAPLACE), (d, _MASS))
 
 
 def pressure_boundary(grid: Grid, p0: float) -> tuple[np.ndarray, np.ndarray]:

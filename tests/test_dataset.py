@@ -423,19 +423,24 @@ class TestGenerate:
         assert os.path.exists(os.path.join(out, "target_030.pgm"))
 
     def test_threaded_matches_serial(self, tmp_path):
-        cfg = TinyCfg.make()
-        a = ds.generate_dataset(
-            "cantilever", cfg, str(tmp_path / "serial"), vf_start=0.2, vf_stop=0.5, vf_step=0.1
-        )
-        b = ds.generate_dataset(
-            "cantilever", cfg, str(tmp_path / "pool"), vf_start=0.2, vf_stop=0.5, vf_step=0.1,
-            threads=3,
-        )
-        assert a == b
-        for r in a:
-            pa = ds.read_pgm_file(os.path.join(str(tmp_path / "serial"), r.target))
-            pb = ds.read_pgm_file(os.path.join(str(tmp_path / "pool"), r.target))
-            assert np.array_equal(pa, pb)
+        # each worker thread's solver runs have their own workspace
+        configs = {
+            "cantilever": TinyCfg.make(),
+            "arch": PressureConfig(nelx=12, nely=6, maxit=8),
+            "micro": MicroConfig(nelx=8, nely=8, max_iters=8),
+        }
+        for problem, cfg in configs.items():
+            serial, pool = str(tmp_path / problem / "serial"), str(tmp_path / problem / "pool")
+            a = ds.generate_dataset(problem, cfg, serial, vf_start=0.2, vf_stop=0.5, vf_step=0.1)
+            b = ds.generate_dataset(
+                problem, cfg, pool, vf_start=0.2, vf_stop=0.5, vf_step=0.1, threads=3,
+            )
+            assert a == b
+            for r in a:
+                assert r.error is None
+                pa = ds.read_pgm_file(os.path.join(serial, r.target))
+                pb = ds.read_pgm_file(os.path.join(pool, r.target))
+                assert np.array_equal(pa, pb)
 
     def test_load_samples_shapes(self, tmp_path):
         out = str(tmp_path / "data")

@@ -1,5 +1,6 @@
 """Element matrices, assembly, and the eliminated direct solve."""
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -664,3 +665,174 @@ class TestCompliance:
         assert np.all(ce >= 0.0)
         assert c == pytest.approx(float(f @ u), rel=1e-8)
         assert c == pytest.approx(float(u @ (k @ u)), rel=1e-8)
+
+
+def _field(g, seed):
+    return DensityField(g, np.random.default_rng(seed).uniform(0.05, 1.0, g.n_elements))
+
+
+def _band_address(factor):
+    return factor.halves[0].__array_interface__["data"][0]
+
+
+class TestWorkspace:
+    """A solver run's Workspace reuses dead factors' maps and never a live one."""
+
+    @pytest.mark.parametrize("split", ["none", "middle"])
+    def test_held_factor_solves_the_same_after_later_factorizations(self, split, monkeypatch):
+        import toacnn.fem as fem
+
+        if split == "middle":  # separator and half B too, at a size that runs fast
+            monkeypatch.setattr(fem, "_SPLIT_MIN_MACS", 0)
+        g, mat = Grid(16, 8), Material()
+        fixed = np.arange(2 * (g.nely + 1))
+        f = np.random.default_rng(3).standard_normal((2, g.n_dofs))
+        outside = factorize(assemble_stiffness(_field(g, 0), 3.0, mat), fixed).solve(f)
+        with fem.Workspace():
+            held = factorize(assemble_stiffness(_field(g, 0), 3.0, mat), fixed)
+            before = held.solve(f)
+            # each of these dies before the next, so its maps come back and are
+            # handed out again, never the held factor's
+            addresses = set()
+            for seed in range(1, 5):
+                later = factorize(assemble_stiffness(_field(g, seed), 3.0, mat), fixed)
+                later.solve(f)
+                assert later.halves[0].base is not held.halves[0].base
+                addresses.add(_band_address(later))
+                del later
+            after = held.solve(f)
+        assert len(addresses) == 1  # the dead factors' band was reused
+        assert _band_address(held) not in addresses
+        assert before.tobytes() == after.tobytes() == outside.tobytes()
+
+    def test_reused_band_is_zeroed_before_the_scatter(self):
+        import toacnn.fem as fem
+
+        g, mat = Grid(12, 6), Material()
+        fixed = np.arange(2 * (g.nely + 1))
+        k = assemble_stiffness(_field(g, 1), 3.0, mat)
+        layout = k.assembly.band_layout(fixed)
+        fresh = layout.band(0, k.data)
+        with fem.Workspace():
+            first = factorize(k, fixed)
+            address = _band_address(first)
+            del first  # pbtrf left its fill in the map
+            band = layout.band(0, k.data)
+            assert band.__array_interface__["data"][0] == address
+            assert band.tobytes() == fresh.tobytes()
+
+    def test_closing_drops_the_runs_maps_but_not_a_live_factors(self, monkeypatch):
+        import weakref
+
+        import toacnn.fem as fem
+
+        g, mat = Grid(12, 6), Material()
+        fixed = np.arange(2 * (g.nely + 1))
+        factorize(assemble_stiffness(_field(g, 1), 3.0, mat), fixed)  # builds the layout
+        maps = []
+        real_map = fem._anonymous_map
+        monkeypatch.setattr(fem, "_anonymous_map", lambda n: maps.append(real_map(n)) or maps[-1])
+        with fem.Workspace() as ws:
+            held = factorize(assemble_stiffness(_field(g, 1), 3.0, mat), fixed)
+            factorize(assemble_stiffness(_field(g, 2), 3.0, mat), fixed)  # dies at once
+        maps = [weakref.ref(m) for m in maps]
+        # two bands, the wide scatter, and two maps of blocks, which had no
+        # dead band to borrow
+        assert len(maps) == 5
+        assert sum(m() is not None for m in maps) == 1  # only the held factor's band
+        assert ws._free is None and ws._kept == {}
+        del held
+        assert all(m() is None for m in maps)
+
+    def test_darcy_factor_serves_the_adjoint_after_the_elastic_solve(self):
+        import toacnn.fem as fem
+        from toacnn.pressure import arch_analysis, pressure_to_loads_transpose
+
+        cfg = PressureConfig(nelx=20, nely=10, vf=0.3)
+        fields = [_field(cfg.grid, seed) for seed in (4, 5)]
+        results = []
+        for scope in (None, fem.Workspace()):
+            with scope or contextlib.nullcontext():
+                out = []
+                for rho in fields:  # the second analysis reuses the first's maps
+                    darcy, p, f, u = arch_analysis(rho, cfg)
+                    mu = darcy.solve(pressure_to_loads_transpose(2.0 * u, cfg.grid)[None, :])
+                    out.append(b"".join(a.tobytes() for a in (p, f, u, mu)))
+                results.append(out)
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("problem", ["cantilever", "arch", "micro"])
+    def test_results_inside_and_outside_a_run_are_equal(self, problem):
+        import toacnn.fem as fem
+        from toacnn.cantilever import CantileverConfig
+        from toacnn.microstructure import MicroConfig, homogenize
+
+        g = Grid(14, 10)
+        cfg = {"cantilever": CantileverConfig, "arch": PressureConfig, "micro": MicroConfig}[problem](
+            nelx=g.nelx, nely=g.nely, vf=0.4
+        )
+
+        def analyses():
+            out = []
+            for seed in (6, 7, 6):
+                rho = _field(g, seed)
+                out.append(repr(cfg.evaluate(rho)).encode())
+                if problem == "micro":
+                    out.extend(a.tobytes() for a in homogenize(rho, cfg.penal, cfg.material))
+            return out
+
+        outside = analyses()
+        with fem.Workspace():
+            inside = analyses()
+        assert inside == outside
+
+    def test_concurrent_runs_keep_their_own_workspaces(self, monkeypatch):
+        import threading
+
+        import toacnn.fem as fem
+
+        monkeypatch.setattr(fem, "_SPLIT_MIN_MACS", 0)  # half B on the shared helper thread
+        mat = Material()
+        cases = []
+        for nelx in (8, 10, 12):
+            g = Grid(nelx, 4)
+            fixed = np.arange(2 * (g.nely + 1))
+            f = np.random.default_rng(nelx).standard_normal(g.n_dofs)
+            rhos = [_field(g, seed) for seed in range(3)]
+            refs = [solve_many(assemble_stiffness(rho, 3.0, mat), f, fixed) for rho in rhos]
+            cases.append((fixed, f, rhos, refs))
+        errors = []
+
+        def worker(offset):
+            try:
+                with fem.Workspace() as ws:
+                    held = []
+                    for i in range(24):
+                        fixed, f, rhos, refs = cases[(i + offset) % len(cases)]
+                        j = i % len(rhos)
+                        factor = factorize(assemble_stiffness(rhos[j], 3.0, mat), fixed)
+                        if fem._WORKSPACE.get() is not ws:
+                            errors.append("another thread's workspace")
+                        if i % 5 == 0:  # held across later factorizations of this run
+                            held.append((factor, f, refs[j]))
+                        if not np.array_equal(factor.solve(f), refs[j]):
+                            errors.append(f"case {i} differs")
+                    for factor, f, ref in held:
+                        if not np.array_equal(factor.solve(f), ref):
+                            errors.append("a held factor changed")
+            except Exception as exc:  # reported below
+                errors.append(repr(exc))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert fem._WORKSPACE.get() is None

@@ -2,6 +2,7 @@
 step, projection."""
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toacnn.fem import Grid
+from toacnn.fem import DensityField, Grid
 from toacnn.optimize import (
     _ALBEFA,
     _ASYDECR,
@@ -58,6 +59,46 @@ class TestDriver:
         res = optimize(MeanConfig(nelx=2, nely=2), np.ones(4), lambda r, it: (0.0, r), 4)
         assert res.iterations == 4
         assert [c for _, c in res.history] == [0.0] * 4
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_run_releases_its_workspace(self, fails, monkeypatch):
+        import toacnn.fem as fem
+        from toacnn.cantilever import CantileverConfig, cantilever_system
+        from toacnn.errors import SolverFailure
+
+        cfg = CantileverConfig(nelx=12, nely=6)
+        f, fixed = cantilever_system(cfg)
+        mat = cfg.material
+
+        def step(rho, it):
+            runs.append(weakref.ref(fem._WORKSPACE.get()))
+            k = fem.assemble_stiffness(DensityField(cfg.grid, rho), cfg.penal, mat)
+            if fails and it == 3:  # factorize raises with its bands alive
+                negated = -fem.element_stiffness(mat)
+                k = k.assembly.assemble(np.broadcast_to(negated, (cfg.grid.n_elements, 8, 8)))
+            factor = fem.factorize(k, fixed)
+            held.append(factor)  # the step's factor outlives the step
+            fem.factorize(k, fixed).solve(f)
+            return 0.0, rho * 0.99
+
+        runs, held = [], []
+        optimize(cfg, np.full(cfg.grid.n_elements, 0.5), step, 1)  # builds the cached patterns
+        maps = []
+        real_map = fem._anonymous_map
+        monkeypatch.setattr(fem, "_anonymous_map", lambda n: maps.append(real_map(n)) or maps[-1])
+        runs, held = [], []
+        if fails:
+            with pytest.raises(SolverFailure, match="positive definite"):
+                optimize(cfg, np.full(cfg.grid.n_elements, 0.5), step, 4)
+        else:
+            optimize(cfg, np.full(cfg.grid.n_elements, 0.5), step, 4)
+        assert len(runs) == (3 if fails else 4)
+        assert fem._WORKSPACE.get() is None
+        assert all(r() is None for r in runs)
+        maps = [weakref.ref(m) for m in maps]
+        assert maps  # the run mapped its bands, blocks and scatter
+        held.clear()  # the held factors' maps go with them, not back to the run
+        assert all(m() is None for m in maps)
 
     @pytest.mark.parametrize("vf", [0.0, 1.0])
     def test_base_config_checks_vf(self, vf):
