@@ -1,9 +1,12 @@
 """Forward/backward pairs for every layer type, float32 throughout.
 
 Each forward returns (output, cache); the matching backward takes (cache,
-upstream gradient) and returns the input gradient plus parameter gradients
-where the layer has any. Data layout is channels-last: (H, W, C) activations,
-(kh, kw, Cin, Cout) kernels, (in, out) dense weights.
+upstream gradient) and returns the input gradient. A layer with parameters
+also has a ``*_param_grads`` that takes the same two arguments and returns
+(weight gradient, bias gradient), apart from the input gradient so that
+training can run the two on different threads. Data layout is
+channels-last: (H, W, C) activations, (kh, kw, Cin, Cout) kernels, (in, out)
+dense weights.
 
 Every convolution is one BLAS matrix product (GEMM) over the H*W pixel rows
 instead of a sliding-window einsum:
@@ -11,16 +14,16 @@ instead of a sliding-window einsum:
 - ``conv2d``: the forward copies the kh*kw shifted views of the padded input
   into one (H*W, kh*kw*Cin) column matrix (im2col) and multiplies it by the
   kernels read as a (kh*kw*Cin, Cout) matrix. The cache is (column matrix,
-  kernels). The backward gets the kernel gradient as columnsᵀ @ d. The input
-  gradient is the same-size convolution of d with the kernels flipped in
-  space and with Cin and Cout swapped: a column matrix of d times a
-  (kh*kw*Cout, Cin) matrix.
+  kernels). The kernel gradient is columnsᵀ @ d. The input gradient is the
+  same-size convolution of d with the kernels flipped in space and with Cin
+  and Cout swapped: a column matrix of d times a (kh*kw*Cout, Cin) matrix.
 - ``tconv``: stride equals kernel size f, so every input pixel owns one
   disjoint f-by-f output block. The forward is one (f*f*Cout, Cin) @
   (Cin, H*W) product followed by a block transpose. The cache is (input,
-  kernels). The backward regroups the output gradient as a (f*f*Cout, H*W)
-  matrix; the kernel gradient is that matrix @ the (H*W, Cin) input, and the
-  input gradient is the (Cin, f*f*Cout) kernels @ that matrix.
+  kernels). The backward and the parameter gradients each regroup the
+  output gradient as a (f*f*Cout, H*W) matrix; the kernel gradient is that
+  matrix @ the (H*W, Cin) input, and the input gradient is the
+  (Cin, f*f*Cout) kernels @ that matrix.
 - ``maxpool``: the forward is a max over a (H/s, s, W/s, s, C) view. The cache
   is (input, output, size); the backward routes each gradient to the first
   maximum of its window in row-major order.
@@ -43,7 +46,11 @@ shape of both profiles in tests/test_neural_layers.py). Smaller products,
 among them all of ``small_profile``'s, stay whole: there a split does not
 pay, and BLAS picks its small-matrix and matrix-vector kernels by size, so a
 split would no longer be bitwise. The helper thread is the package's one
-(see toacnn.helper); only raw ``np.matmul`` halves run on it.
+(see toacnn.helper). During training it also runs whole jobs, each layer's
+parameter gradients and update, so a product splits only while it has
+nothing queued or running, and a product inside such a job stays whole:
+split there, its lower half would wait behind the job itself. Split or
+whole, on either thread, the bytes are the same.
 """
 
 from __future__ import annotations
@@ -62,10 +69,12 @@ _SPLIT_MIN_MACS = 1 << 25
 
 def _matmul(a, b):
     """a @ b; in a large product the helper thread computes the lower half of
-    the output rows while the calling thread computes the upper half."""
+    the output rows while the calling thread computes the upper half, if the
+    helper has nothing else to do. On the helper thread itself the product
+    stays whole: its one thread would wait on itself."""
     m, k = a.shape
     n = b.shape[1]
-    if m * k * n < _SPLIT_MIN_MACS:
+    if m * k * n < _SPLIT_MIN_MACS or not helper.idle() or helper.on_helper():
         return a @ b
     out = np.empty((m, n), dtype=np.result_type(a, b))
     h = m // 2
@@ -97,7 +106,7 @@ def conv2d_forward(x, kernels, bias):
 
 
 def conv2d_param_grads(cache, d_out):
-    """(d_kernels, d_bias) of a conv: its backward without the input gradient."""
+    """(d_kernels, d_bias) of a conv, from its cache and output gradient."""
     cols, kernels = cache
     cout = kernels.shape[3]
     d_bias = d_out.sum(axis=(0, 1))
@@ -106,13 +115,13 @@ def conv2d_param_grads(cache, d_out):
 
 
 def conv2d_backward(cache, d_out):
+    """Input gradient of a conv; conv2d_param_grads gives its parameters'."""
     _, kernels = cache
     kh, kw, cin, cout = kernels.shape
     h, w, _ = d_out.shape
-    d_kernels, d_bias = conv2d_param_grads(cache, d_out)
     flipped = kernels[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * cout, cin)
     dx = _matmul(_im2col(d_out, kh, kw), flipped).reshape(h, w, cin)
-    return dx.astype(np.float32, copy=False), d_kernels, d_bias
+    return dx.astype(np.float32, copy=False)
 
 
 def maxpool_forward(x, size):
@@ -149,11 +158,16 @@ def dense_forward(x, weight, bias):
     return x @ weight + bias, (x, weight)
 
 
-def dense_backward(cache, d_out):
-    x, weight = cache
+def dense_param_grads(cache, d_out):
+    """(d_weight, d_bias) of a dense layer."""
+    x, _ = cache
     d_weight = np.outer(x, d_out).astype(np.float32, copy=False)
-    dx = weight @ d_out
-    return dx.astype(np.float32, copy=False), d_weight, d_out.astype(np.float32, copy=False)
+    return d_weight, d_out.astype(np.float32, copy=False)
+
+
+def dense_backward(cache, d_out):
+    _, weight = cache
+    return (weight @ d_out).astype(np.float32, copy=False)
 
 
 def tconv_forward(x, kernels, bias):
@@ -171,19 +185,30 @@ def tconv_forward(x, kernels, bias):
     return (y + bias).astype(np.float32, copy=False), (x, kernels)
 
 
+def _tconv_regroup(d_out, f, h, w):
+    """The (f*f*Cout, H*W) matrix of a transposed conv's output gradient."""
+    cout = d_out.shape[2]
+    return d_out.reshape(h, f, w, f, cout).transpose(1, 3, 4, 0, 2).reshape(f * f * cout, h * w)
+
+
+def tconv_param_grads(cache, d_out):
+    """(d_kernels, d_bias) of a transposed conv."""
+    x, kernels = cache
+    f, _, cin, cout = kernels.shape
+    h, w, _ = x.shape
+    d = _tconv_regroup(d_out, f, h, w)
+    d_bias = d_out.sum(axis=(0, 1))
+    d_kernels = _matmul(d, x.reshape(h * w, cin)).reshape(f, f, cout, cin).transpose(0, 1, 3, 2)
+    return d_kernels.astype(np.float32, copy=False), d_bias.astype(np.float32, copy=False)
+
+
 def tconv_backward(cache, d_out):
     x, kernels = cache
     f, _, cin, cout = kernels.shape
     h, w, _ = x.shape
-    d = d_out.reshape(h, f, w, f, cout).transpose(1, 3, 4, 0, 2).reshape(f * f * cout, h * w)
-    d_bias = d_out.sum(axis=(0, 1))
-    d_kernels = _matmul(d, x.reshape(h * w, cin)).reshape(f, f, cout, cin).transpose(0, 1, 3, 2)
+    d = _tconv_regroup(d_out, f, h, w)
     dx = _matmul(kernels.transpose(2, 0, 1, 3).reshape(cin, f * f * cout), d)
-    return (
-        dx.T.reshape(h, w, cin).astype(np.float32, copy=False),
-        d_kernels.astype(np.float32, copy=False),
-        d_bias.astype(np.float32, copy=False),
-    )
+    return dx.T.reshape(h, w, cin).astype(np.float32, copy=False)
 
 
 def relu_forward(x):

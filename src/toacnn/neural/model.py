@@ -4,9 +4,14 @@ Parameters live in a flat list of float32 arrays in the exact order of
 ``profile.parameter_specs()``; gradients come back in the same order. The
 forward/backward walks share one op plan so the two can never drift apart,
 and the forward and the non-finite probe share one walk over that plan.
+The backward walk hands each layer's parameter gradients out as soon as it
+has that layer's input gradient, so training can compute them, and apply
+the layer's update, on the helper thread while the walk goes on.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,17 +21,20 @@ from .layers import (
     conv2d_param_grads,
     dense_backward,
     dense_forward,
+    dense_param_grads,
     maxpool_backward,
     maxpool_forward,
     relu_backward,
     relu_forward,
     tconv_backward,
     tconv_forward,
+    tconv_param_grads,
 )
 from .profile import NetworkProfile
 
 
-def _plan(profile: NetworkProfile):
+@lru_cache(maxsize=None)
+def _plan(profile: NetworkProfile) -> tuple:
     ops = []
     p = 0
     for i, (_, _, pool) in enumerate(profile.encoder):
@@ -47,7 +55,7 @@ def _plan(profile: NetworkProfile):
         ops.append(("tconv", f"dec{i}.tconv", p, None))
         p += 2
         ops.append(("relu", f"dec{i}.relu", None, None))
-    return ops
+    return tuple(ops)
 
 
 def init_params(profile: NetworkProfile, seed: int) -> list[np.ndarray]:
@@ -109,16 +117,32 @@ def backward(
     params: list[np.ndarray],
     caches: list,
     d_out: np.ndarray,
-) -> list[np.ndarray]:
+    emit=None,
+) -> list[np.ndarray] | None:
     """Gradient of the scalar loss w.r.t. every parameter, given dL/d(output).
 
-    The first op is a conv on the input image, so it gets no input gradient.
+    The walk runs the input-gradient chain from the last op to the first.
+    Once it has a layer's input gradient it calls ``emit(p, param_grads,
+    cache, d)`` for that layer, whose parameters are ``params[p]`` and
+    ``params[p + 1]``: ``param_grads(cache, d)`` returns their gradients.
+    The walk reads no layer's parameters after that call, so ``emit`` may
+    update them, on any thread. Without ``emit`` the gradients come back as
+    one list in parameter order. The first op is a conv on the input image,
+    so it gets no input gradient.
     """
-    grads: list[np.ndarray | None] = [None] * len(params)
+    grads: list[np.ndarray | None] | None = None
+    if emit is None:
+        grads = [None] * len(params)
+
+        def emit(p, param_grads, cache, d):
+            grads[p], grads[p + 1] = param_grads(cache, d)
+
     d = np.asarray(d_out, dtype=np.float32)
     for (kind, _, p, aux), cache in zip(reversed(_plan(profile)[1:]), reversed(caches[1:])):
         if kind == "conv":
-            d, grads[p], grads[p + 1] = conv2d_backward(cache, d)
+            dx = conv2d_backward(cache, d)
+            emit(p, conv2d_param_grads, cache, d)
+            d = dx
         elif kind == "relu":
             d = relu_backward(cache, d)
         elif kind == "pool":
@@ -126,10 +150,14 @@ def backward(
         elif kind in ("flatten", "unflatten"):
             d = d.reshape(cache)
         elif kind == "dense":
-            d, grads[p], grads[p + 1] = dense_backward(cache, d)
+            dx = dense_backward(cache, d)
+            emit(p, dense_param_grads, cache, d)
+            d = dx
         else:
-            d, grads[p], grads[p + 1] = tconv_backward(cache, d)
-    grads[0], grads[1] = conv2d_param_grads(caches[0], d)
+            dx = tconv_backward(cache, d)
+            emit(p, tconv_param_grads, cache, d)
+            d = dx
+    emit(0, conv2d_param_grads, caches[0], d)
     return grads
 
 

@@ -1,18 +1,23 @@
 """Adam oracle, training determinism, divergence reporting, inference."""
 
+import math
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import toacnn
+from toacnn import helper
 from toacnn.errors import TrainingDiverged
 from toacnn.fem import DensityField
-from toacnn.neural import layers
+from toacnn.neural import layers, model, training
+from toacnn.neural.checkpoint import save_checkpoint
 from toacnn.neural.model import init_params
-from toacnn.neural.profile import NetworkProfile, full_profile
+from toacnn.neural.profile import NetworkProfile, full_profile, small_profile
 from toacnn.neural.training import AdamState, TrainConfig, adam_step, infer, train
 
 PROFILE = NetworkProfile(
@@ -199,6 +204,137 @@ def test_full_profile_step_does_not_depend_on_the_split(monkeypatch):
     monkeypatch.setattr(layers, "_matmul", np.matmul)
     whole, _ = train(profile, samples, cfg)
     assert [p.tobytes() for p in split.params] == [p.tobytes() for p in whole.params]
+
+
+@pytest.mark.parametrize(
+    "profile, batch_size",
+    [(full_profile(64), 1), (full_profile(64), 3), (small_profile(64), 1), (small_profile(0), 1)],
+    ids=["full64-b1", "full64-b3", "small64-b1", "small0-b1"],
+)
+def test_streamed_jobs_give_the_inline_checkpoint(monkeypatch, profile, batch_size):
+    samples = samples_for(profile, 3, seed=6)
+    cfg = TrainConfig(epochs=1 if profile.input_size == 100 else 3, lr=1e-3, seed=8,
+                      batch_size=batch_size)
+    default = save_checkpoint(train(profile, samples, cfg)[0])
+
+    def trained(floor):
+        monkeypatch.setattr(training, "_STREAM_MIN", floor)
+        return save_checkpoint(train(profile, samples, cfg)[0])
+
+    # every layer's job on the helper thread, and every job on the calling one
+    assert trained(0) == trained(math.inf) == default
+
+
+class TestFailingJob:
+    def reference(self):
+        samples = samples_for(small_profile(64), 2, seed=9)
+        cfg = TrainConfig(epochs=2, lr=1e-3, seed=4)
+        return samples, cfg, save_checkpoint(train(small_profile(64), samples, cfg)[0])
+
+    @pytest.mark.parametrize("failing_call", [1, 5, 8])
+    def test_adam_error_reaches_the_caller_and_leaves_nothing_behind(
+        self, monkeypatch, failing_call
+    ):
+        samples, cfg, want = self.reference()
+        error = RuntimeError("update failed")
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == failing_call:
+                raise error
+            adam_step(*args)
+
+        # every layer's job goes to the helper thread
+        monkeypatch.setattr(training, "_STREAM_MIN", 0)
+        monkeypatch.setattr(training, "adam_step", failing)
+        with pytest.raises(RuntimeError) as exc:
+            train(small_profile(64), samples, cfg)
+        assert exc.value is error
+        assert helper.idle()
+        monkeypatch.undo()
+        assert save_checkpoint(train(small_profile(64), samples, cfg)[0]) == want
+
+    def test_walk_error_with_jobs_queued_leaves_nothing_behind(self, monkeypatch):
+        samples, cfg, want = self.reference()
+        error = ValueError("input gradient failed")
+        calls = []
+
+        def slow_first(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                time.sleep(0.2)  # the jobs after it stay queued
+            adam_step(*args)
+
+        def failing(*args):
+            raise error
+
+        # the decoder and dense jobs are queued or running when the first
+        # conv's input gradient fails
+        monkeypatch.setattr(training, "_STREAM_MIN", 0)
+        monkeypatch.setattr(training, "adam_step", slow_first)
+        monkeypatch.setattr(model, "conv2d_backward", failing)
+        with pytest.raises(ValueError) as exc:
+            train(small_profile(64), samples, cfg)
+        assert exc.value is error
+        assert helper.idle()
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert save_checkpoint(train(small_profile(64), samples, cfg)[0]) == want
+
+
+def test_concurrent_jobs_all_run_and_leave_the_helper_idle():
+    # four threads share the one helper thread, taking back queued calls in
+    # finish, under a short switch interval; a lost update of the helper's
+    # count of queued and running calls would leave it looking busy
+    done = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+
+        def worker(k):
+            with helper.Jobs() as jobs:
+                for i in range(200):
+                    jobs.submit(done.append, (k, i))
+                    if i % 7 == 6:
+                        jobs.finish()
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(done) == [(k, i) for k in range(4) for i in range(200)]
+    assert helper.idle()
+
+
+_HELPER_PRODUCT_PROBE = """
+import numpy as np
+
+from toacnn import helper
+from toacnn.neural import layers
+
+rng = np.random.default_rng(0)
+a = rng.standard_normal((1024, 512)).astype(np.float32)
+b = rng.standard_normal((512, 512)).astype(np.float32)
+assert a.shape[0] * a.shape[1] * b.shape[1] >= layers._SPLIT_MIN_MACS
+whole = helper.submit(layers._matmul, a, b).result(timeout=60)
+print(whole.tobytes() == (a @ b).tobytes())
+"""
+
+
+def test_large_product_inside_a_helper_job_stays_whole():
+    # a split on the helper thread would queue its half behind itself; the
+    # probe runs in its own process so a hang fails the test and ends there
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toacnn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _HELPER_PRODUCT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
 
 
 class TestInfer:
