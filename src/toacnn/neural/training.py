@@ -37,7 +37,10 @@ _BETA2 = 0.999
 _EPS = 1e-8
 # A layer's gradients and update go to the helper thread when its weights and
 # its output gradient, the arrays that work grows with, hold at least this
-# many elements; smaller layers run them on the calling thread.
+# many elements. Smaller layers do theirs together on the calling thread
+# after the backward walk: small_profile's jobs take 0.1-0.3 ms each, and
+# handing them over slowed its steps by about 5 %, while full_profile's
+# streamed layers take 1.2-22 ms.
 _STREAM_MIN = 1 << 17
 # Elements per Adam chunk: six float32 chunks (g, m, v, p and two scratch
 # buffers) take 768 KB, which fits a core's L2 cache.
