@@ -3,7 +3,8 @@
 Left edge fully clamped, unit downward point load at mid-height of the right
 edge, SIMP interpolation, density-weighted sensitivity filtering, and
 optimality-criteria updates. Runs until the max density change drops below
-``change_tol`` or ``max_iters`` is reached.
+``change_tol`` or ``max_iters`` is reached. cantilever_analysis is the one
+forward chain, shared by the optimizer step and evaluate_cantilever.
 """
 
 from __future__ import annotations
@@ -15,23 +16,15 @@ import numpy as np
 
 from . import fem  # solve_many via the module: the benchmark tracer wraps fem.solve_many
 from .fem import DensityField, assemble_stiffness, compliance, simp_derivative
-from .optimize import OptResult, SimpConfig, build_filter, oc_update, optimize, sensitivity_filter
+from .optimize import (ChangeStopConfig, OptResult, build_filter, oc_update, optimize,
+                       sensitivity_filter)
 
 
 @dataclass(frozen=True)
-class CantileverConfig(SimpConfig):
+class CantileverConfig(ChangeStopConfig):
     objective_name: ClassVar[str] = "compliance"
 
-    max_iters: int = 200
-    change_tol: float = 0.01
     load_magnitude: float = 1.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not self.change_tol >= 0.0:
-            raise ValueError(f"change_tol must be non-negative, got {self.change_tol}")
 
     def evaluate(self, rho: DensityField) -> float:
         return evaluate_cantilever(rho, self)
@@ -48,13 +41,19 @@ def cantilever_system(cfg: CantileverConfig) -> tuple[np.ndarray, np.ndarray]:
     return f, fixed
 
 
+def cantilever_analysis(rho: DensityField, cfg: CantileverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The forward chain: assembly, then the solve under the cantilever
+    system. Returns ``(f, u)``, the load and the displacements."""
+    f, fixed = cantilever_system(cfg)
+    k = assemble_stiffness(rho, cfg.penal, cfg.material)
+    return f, fem.solve_many(k, f, fixed)[0]
+
+
 def evaluate_cantilever(rho: DensityField, cfg: CantileverConfig) -> float:
     """Compliance f^T u of a given design under the cantilever system."""
     if rho.grid != cfg.grid:
         raise ValueError(f"field grid {rho.grid} does not match config grid {cfg.grid}")
-    f, fixed = cantilever_system(cfg)
-    k = assemble_stiffness(rho, cfg.penal, cfg.material)
-    u = fem.solve_many(k, f, fixed)[0]
+    f, u = cantilever_analysis(rho, cfg)
     return float(f @ u)
 
 
@@ -62,13 +61,11 @@ def solve_cantilever(cfg: CantileverConfig) -> OptResult:
     grid = cfg.grid
     mat = cfg.material
     kernel = build_filter(grid, cfg.rmin)
-    f, fixed = cantilever_system(cfg)
     dv = np.ones(grid.n_elements)
 
     def step(rho: np.ndarray, it: int) -> tuple[float, np.ndarray]:
         rho_field = DensityField(grid, rho)
-        k = assemble_stiffness(rho_field, cfg.penal, mat)
-        u = fem.solve_many(k, f, fixed)[0]
+        _, u = cantilever_analysis(rho_field, cfg)
         c, ce = compliance(u, rho_field, cfg.penal, mat)
         dc = simp_derivative(rho, cfg.penal, mat) * ce
         dc = sensitivity_filter(rho, dc, kernel)

@@ -7,8 +7,8 @@ format problems, 4 numeric failures (solver accuracy, divergence).
 
 Environment: TOACNN_SEED seeds training when --seed is not given (default
 42); TOACNN_THREADS caps dataset-generation parallelism (default 1, which
-is the strict deterministic mode). A value that is not an integer is a
-usage error of the subcommand that reads it.
+is the strict deterministic mode). A value that is not an integer, or a
+thread count below 1, is a usage error of the subcommand that reads it.
 """
 
 from __future__ import annotations

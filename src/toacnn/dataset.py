@@ -234,17 +234,22 @@ def generate_dataset(
 ) -> list[ManifestRecord]:
     """Run the solver across a vf sweep and write images plus a manifest.
 
-    Resumable: samples whose manifest entry carries the current config
-    fingerprint and whose files still exist are not re-solved. Failed solves
-    become error records and are retried on the next run. All file writes are
-    atomic, and the manifest is rewritten once at the end, unless its bytes
-    would not change.
+    Fewer than one thread, or a start above the stop, raise ValueError
+    before any file is written. Resumable: samples whose manifest entry
+    carries the current config fingerprint and whose files still exist are
+    not re-solved. Failed solves become error records and are retried on
+    the next run. All file writes are atomic, and the manifest is rewritten
+    once at the end, unless its bytes would not change.
     """
     if problem not in PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}, expected one of {sorted(PROBLEMS)}")
     cfg_type, solver = PROBLEMS[problem]
     if not isinstance(cfg, cfg_type):
         raise ValueError(f"problem {problem} needs a {cfg_type.__name__}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    if not vf_start <= vf_stop:
+        raise ValueError(f"vf start {vf_start} lies above vf stop {vf_stop}")
     # file names resolve vf to 0.01, 101 names over [0, 1]: a longer sweep
     # must collide, and is refused before its list is built
     if vf_step > 0.0 and (vf_stop - vf_start) / vf_step >= 101:

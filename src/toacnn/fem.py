@@ -212,14 +212,15 @@ def _anonymous_map(nbytes: int) -> mmap.mmap:
     """Zeroed memory in its own map, faulted in at once where the platform
     allows it.
 
-    Cached patterns, bands and a solver run's buffers live here rather than
-    in the malloc heap. Once glibc frees a mapped block of up to 32 MiB it
-    serves later blocks of that size from the heap, and keeps freed heap
+    Cached patterns, bands and every analysis's buffers live here rather
+    than in the malloc heap. Once glibc frees a mapped block of up to 32 MiB
+    it serves later blocks of that size from the heap, and keeps freed heap
     pages resident: a 100x100 band of 33 MB would then stay resident after
     its solve is done. A map is unmapped once nothing uses it. Within a
     solver run the Workspace hands a dead band's map to the next band of its
-    size, so only the first analysis of a run maps and faults in its own.
-    """
+    size, so only the first analysis of a run maps and faults in its own;
+    outside a run each analysis has a Workspace of its own, which recycles
+    nothing."""
     flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
     return mmap.mmap(-1, max(nbytes, 1), flags=flags)
 
@@ -260,14 +261,14 @@ class Workspace:
     until the matrix is summed (see ``borrow``), bincount reads a scatter
     widened once, and ``keep`` holds other per-run constants. Closing it
     drops all of these, so nothing of the run stays mapped after it, and
-    returns the heap pages the run freed; outside a run every analysis maps
-    its own memory.
-    """
+    returns the heap pages the run freed. Every analysis takes its memory
+    from workspace(): outside a run, a Workspace of its own that recycles
+    nothing, whose maps are unmapped once their arrays are gone."""
 
     def __init__(self):
-        # maps no array uses; only the run's own thread takes from the list,
-        # while an array's finalizer may append on any thread
-        self._free: list[mmap.mmap] | None = []
+        # each map lent out and a weak reference to the array over it; a map
+        # is free once its array is dead. Only the run's thread uses the list
+        self._maps: list[tuple[mmap.mmap, weakref.ref]] = []
         self._kept: dict = {}
         self._token = None
 
@@ -277,22 +278,23 @@ class Workspace:
 
     def __exit__(self, *exc) -> None:
         _WORKSPACE.reset(self._token)
-        self._free, self._kept = None, {}
+        self._maps, self._kept = [], {}
         if _malloc_trim is not None:
             _malloc_trim(0)
 
     def _lend(self, memory: mmap.mmap, count: int) -> np.ndarray:
-        """``count`` doubles over ``memory``, which returns to the free list
-        when the array dies. Every view, as_strided ones included, keeps the
-        array alive, so a live Factor's maps are never handed out again."""
+        """``count`` doubles over ``memory``, which is free again once the
+        array dies. Every view, as_strided ones included, keeps the array
+        alive, so a live Factor's maps are never handed out again."""
         out = np.frombuffer(memory, dtype=np.float64, count=count)
-        weakref.finalize(out, _give_back, weakref.ref(self), memory).atexit = False
+        self._maps.append((memory, weakref.ref(out)))
         return out
 
     def _take(self, fits) -> mmap.mmap | None:
         """Remove and return the smallest free map whose size ``fits``."""
-        sizes = [(len(m), i) for i, m in enumerate(self._free) if fits(len(m))]
-        return self._free.pop(min(sizes)[1]) if sizes else None
+        sizes = [(len(m), i) for i, (m, array) in enumerate(self._maps)
+                 if array() is None and fits(len(m))]
+        return self._maps.pop(min(sizes)[1])[0] if sizes else None
 
     def zeros(self, count: int) -> np.ndarray:
         """``count`` zeroed doubles in a map of their own: a free map of
@@ -323,27 +325,11 @@ class Workspace:
         return self._kept[key]
 
 
-def _give_back(workspace: "weakref.ref[Workspace]", memory: mmap.mmap) -> None:
-    """Return a map whose array died to its run, unless the run is over;
-    then the map is dropped, and unmapped with its last reference."""
-    ws = workspace()
-    free = None if ws is None else ws._free
-    if free is not None:
-        free.append(memory)
-
-
-def _zeros(count: int) -> np.ndarray:
-    """``count`` zeroed doubles in their own map: from the open solver run's
-    Workspace, else a fresh map."""
+def workspace() -> Workspace:
+    """The open solver run's Workspace, else a new one that recycles
+    nothing: each call outside a run maps fresh memory and keeps nothing."""
     ws = _WORKSPACE.get()
-    return _mapped((count,)) if ws is None else ws.zeros(count)
-
-
-def per_run(key, make):
-    """``make()``, kept for the rest of the open solver run under ``key``
-    (see Workspace.keep); outside a run, made afresh on every call."""
-    ws = _WORKSPACE.get()
-    return make() if ws is None else ws.keep(key, make)
+    return Workspace() if ws is None else ws
 
 
 @dataclass(frozen=True)
@@ -370,11 +356,11 @@ class _BandLayout:
 
     def band(self, h: int, data: np.ndarray) -> np.ndarray:
         """Band ``h`` (0 for [A, S], 1 for [B, S] reversed) of the matrix
-        with CSR data ``data``, in its own map (see _zeros) and in Fortran
-        order, which lets LAPACK factor it in place."""
+        with CSR data ``data``, in its own map (see Workspace.zeros) and in
+        Fortran order, which lets LAPACK factor it in place."""
         w = self.width
         shape = (w + 1, self.split + self.separator if h == 0 else self.order.size - self.split)
-        band = _zeros(shape[0] * shape[1])
+        band = workspace().zeros(shape[0] * shape[1])
         band[self.slots[h]] = data[self.entries[h]]
         return band.reshape(shape, order="F")
 
@@ -422,11 +408,10 @@ class Assembly:
         element values in the same element order, so symmetric blocks give a
         matrix symmetric to the last bit wherever each element's DOFs are
         distinct (all meshes but a periodic cell one element wide).
-        bincount reads the scatter widened to intp: once per solver run
-        inside one (see Workspace), else on every call.
+        bincount reads the scatter widened to intp in a map the Workspace
+        keeps (see workspace): once per solver run, else one per call.
         """
-        ws = _WORKSPACE.get()
-        scatter = self.scatter if ws is None else ws.keep(("scatter", self), self._wide_scatter)
+        scatter = workspace().keep(("scatter", self), self._wide_scatter)
         data = np.bincount(scatter, weights=blocks.ravel(), minlength=self.indices.size)
         matrix = AssembledMatrix((data, self.indices, self.indptr), shape=self.shape)
         matrix.assembly = self
@@ -440,13 +425,11 @@ class Assembly:
     def assemble_scaled(self, *terms: tuple[np.ndarray, np.ndarray]) -> AssembledMatrix:
         """assemble of the element blocks sum_t c_t[e] m_t, summed in the
         order given, of ``terms`` ``(c_t, m_t)``: per-element coefficients
-        and one ``(k, k)`` element matrix. Inside a solver run the blocks
-        borrow a free map of its Workspace (see Workspace.borrow), else they
-        take a fresh array."""
+        and one ``(k, k)`` element matrix. The blocks borrow a free map of
+        the Workspace (see Workspace.borrow): a dead band's inside a solver
+        run, else a new map, unmapped once the matrix is summed."""
         (c, m), *rest = terms
-        ws = _WORKSPACE.get()
-        out = None if ws is None else ws.borrow((c.size, *m.shape))
-        blocks = np.multiply(c[:, None, None], m, out=out)
+        blocks = np.multiply(c[:, None, None], m, out=workspace().borrow((c.size, *m.shape)))
         for c, m in rest:
             blocks += c[:, None, None] * m
         return self.assemble(blocks)
@@ -710,7 +693,7 @@ def factorize(matrix: AssembledMatrix, fixed_dofs: np.ndarray) -> Factor:
     # blocks left between a 100x100 solve's large arrays raised the peak
     # resident size of the work that followed by 4 MB in a third of the runs.
     rows = [min(band.shape[1] - sep, w) for band in halves]
-    memory = _zeros((sep + 1 + rows[1]) * sep)
+    memory = workspace().zeros((sep + 1 + rows[1]) * sep)
     separator = memory[: (sep + 1) * sep].reshape((sep + 1, sep), order="F")
     # A full band (kd = sep - 1) with ldab = sep + 1 is the dense Fortran
     # matrix with leading dimension sep that starts at flat position sep - 1,

@@ -23,12 +23,13 @@ from .fem import (
     Material,
     edof_matrix,
     element_stiffness,
-    per_run,
     simp_derivative,
     simp_moduli,
     solve_many,
+    workspace,
 )
-from .optimize import OptResult, SimpConfig, build_filter, oc_update, optimize, sensitivity_filter
+from .optimize import (ChangeStopConfig, OptResult, build_filter, oc_update, optimize,
+                       sensitivity_filter)
 
 
 @lru_cache(maxsize=None)
@@ -105,7 +106,8 @@ def homogenize(
     ke = element_stiffness(material)
     edof_red = _periodic_edof(grid.nelx, grid.nely)
     moduli = simp_moduli(rho.values, penal, material)
-    ustar, ustar_ke = per_run(("unit strains", grid, material), lambda: _unit_strains(grid, ke))
+    ustar, ustar_ke = workspace().keep(("unit strains", grid, material),
+                                       lambda: _unit_strains(grid, ke))
 
     # anchor the master node at the origin corner; periodicity leaves only
     # the two translations in the kernel. The matrix and the loads die with
@@ -144,18 +146,8 @@ def bulk_objective(
 
 
 @dataclass(frozen=True)
-class MicroConfig(SimpConfig):
+class MicroConfig(ChangeStopConfig):
     objective_name: ClassVar[str] = "bulk_modulus"
-
-    max_iters: int = 200
-    change_tol: float = 0.01
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not self.change_tol >= 0.0:
-            raise ValueError(f"change_tol must be non-negative, got {self.change_tol}")
 
     def evaluate(self, rho: DensityField) -> float:
         return evaluate_micro(rho, self)

@@ -88,7 +88,8 @@ def _im2col(x, kh, kw):
     """(H*W, kh*kw*C) column matrix of a zero-padded (H, W, C) image."""
     h, w, c = x.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((ph, ph), (pw, pw), (0, 0)))
+    xp = np.zeros((h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
+    xp[ph : ph + h, pw : pw + w] = x
     cols = np.empty((h, w, kh, kw, c), dtype=xp.dtype)
     for i in range(kh):
         for j in range(kw):

@@ -100,6 +100,22 @@ class SimpConfig:
         raise NotImplementedError
 
 
+@dataclass(frozen=True)
+class ChangeStopConfig(SimpConfig):
+    """A SimpConfig whose run stops once the max density change falls below
+    ``change_tol``, or after ``max_iters`` iterations (see optimize)."""
+
+    max_iters: int = 200
+    change_tol: float = 0.01
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
+        if not self.change_tol >= 0.0:
+            raise ValueError(f"change_tol must be non-negative, got {self.change_tol}")
+
+
 def optimize(
     cfg: SimpConfig,
     rho: np.ndarray,

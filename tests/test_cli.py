@@ -188,6 +188,27 @@ class TestGen:
         assert "collides at 0.01 file-name resolution" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_fewer_than_one_thread_is_usage_error(self, threads, source, tmp_path, capsys,
+                                                   monkeypatch):
+        out = tmp_path / "ds"
+        argv = ["gen", *PHYS, "--out", str(out), "--vf-start", "0.3", "--vf-stop", "0.3"]
+        if source == "flag":
+            argv += ["--threads", threads]
+        else:
+            monkeypatch.setenv("TOACNN_THREADS", threads)
+        assert main(argv) == 2
+        assert "threads must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_start_above_stop_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        rc = main(["gen", *PHYS, "--out", str(out), "--vf-start", "0.5", "--vf-stop", "0.3"])
+        assert rc == 2
+        assert "lies above vf stop" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_checkpoint_losses_and_stdout(self, tmp_path, manifest, profile_file, capsys):

@@ -740,8 +740,32 @@ class TestWorkspace:
         # dead band to borrow
         assert len(maps) == 5
         assert sum(m() is not None for m in maps) == 1  # only the held factor's band
-        assert ws._free is None and ws._kept == {}
+        assert ws._maps == [] and ws._kept == {}
         del held
+        assert all(m() is None for m in maps)
+
+    # the split block gets a grid of its own, whose cached layout is split
+    @pytest.mark.parametrize("split, nelx, nely", [("none", 12, 6), ("middle", 9, 5)])
+    def test_outside_a_run_every_map_is_gone_once_the_analysis_returns(self, split, nelx, nely,
+                                                                        monkeypatch):
+        import weakref
+
+        import toacnn.fem as fem
+        from toacnn.cantilever import CantileverConfig, evaluate_cantilever
+
+        if split == "middle":  # separator and half B too
+            monkeypatch.setattr(fem, "_SPLIT_MIN_MACS", 0)
+        cfg = CantileverConfig(nelx=nelx, nely=nely)
+        rho = _field(cfg.grid, 1)
+        expected = evaluate_cantilever(rho, cfg)  # builds the cached patterns and layout
+        maps = []
+        real_map = fem._anonymous_map
+        monkeypatch.setattr(fem, "_anonymous_map", lambda n: maps.append(real_map(n)) or maps[-1])
+        assert evaluate_cantilever(rho, cfg) == expected
+        maps = [weakref.ref(m) for m in maps]
+        # the band (two, and the separator's map, when split), the element
+        # blocks and the wide scatter
+        assert len(maps) == (5 if split == "middle" else 3)
         assert all(m() is None for m in maps)
 
     def test_darcy_factor_serves_the_adjoint_after_the_elastic_solve(self):
