@@ -15,16 +15,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
 from .dataset import (
     PROBLEMS,
     atomic_write,
+    canonical_json,
     config_fingerprint,
     generate_dataset,
     load_samples,
+    parse_json,
     read_manifest,
     write_pgm_file,
 )
@@ -74,11 +75,12 @@ def build_problem_config(args, vf: float | None = None):
 
 def _load_profile(args) -> NetworkProfile:
     if args.profile_file:
+        with open(args.profile_file, "rb") as fh:
+            d = parse_json(fh.read(), f"profile file {args.profile_file}")
         try:
-            with open(args.profile_file, "r", encoding="utf-8") as fh:
-                return NetworkProfile.from_dict(json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-            raise FormatError(f"cannot read profile file {args.profile_file}: {exc}") from exc
+            return NetworkProfile.from_dict(d)
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise FormatError(f"malformed profile file {args.profile_file}: {exc}") from exc
     if args.profile == "full":
         return full_profile(args.n)
     return small_profile(args.n)
@@ -100,8 +102,7 @@ def cmd_solve(args) -> int:
         "fingerprint": config_fingerprint(args.problem, cfg),
     }
     stem, _ = os.path.splitext(args.out)
-    atomic_write(stem + ".json",
-                  (json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n").encode())
+    atomic_write(stem + ".json", (canonical_json(meta) + "\n").encode())
     print(f"{cfg.objective_name} {result.objective:.6g}")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

@@ -11,10 +11,13 @@ config so stale datasets are detected instead of silently reused.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
+import re
 import tempfile
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -43,16 +46,8 @@ def make_input_image(vf: float, width: int, height: int) -> np.ndarray:
     solid (value 1), filled from the bottom row upward, left to right."""
     if not (0.0 <= vf <= 1.0):
         raise ValueError(f"vf must lie in [0, 1], got {vf}")
-    n_black = int(round(vf * width * height))
-    img = np.zeros((height, width))
-    remaining = n_black
-    for row in range(height - 1, -1, -1):
-        if remaining <= 0:
-            break
-        take = min(width, remaining)
-        img[row, :take] = 1.0
-        remaining -= take
-    return img
+    order = np.arange(width * height).reshape(height, width)[::-1]
+    return (order < int(round(vf * width * height))).astype(float)
 
 
 def write_pgm(image: np.ndarray) -> bytes:
@@ -67,28 +62,20 @@ def write_pgm(image: np.ndarray) -> bytes:
     return f"P5\n{w} {h}\n255\n".encode("ascii") + payload.tobytes()
 
 
+# P5, then width, height and maxval, each after whitespace or comments that
+# run from # to the end of their line, then one whitespace byte
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d{1,9})" * 3 + rb"\s")
+
+
 def read_pgm(data: bytes) -> np.ndarray:
     """Inverse of write_pgm; tolerates comments and extra header whitespace."""
     if not data.startswith(b"P5"):
         raise FormatError("not a binary PGM (missing P5 magic)")
-    pos = 2
-    fields: list[int] = []
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        token = data[start:pos]
-        if not token.isdigit() or len(token) > 9:
-            raise FormatError(f"bad PGM header token {token[:20]!r}")
-        fields.append(int(token))
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = fields
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise FormatError("bad PGM header tokens: want three numbers of at most 9 digits")
+    w, h, maxval = map(int, header.groups())
+    pos = header.end()
     if maxval != 255:
         raise FormatError(f"unsupported PGM maxval {maxval}")
     if w == 0 or h == 0:
@@ -114,6 +101,20 @@ def atomic_write(path: str, data: bytes) -> None:
         raise
 
 
+def canonical_json(obj) -> str:
+    """The one JSON form written to disk: sorted keys, no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def parse_json(data: str | bytes, what: str):
+    """JSON text or UTF-8 bytes to a value; any undecodable or malformed
+    input, however deep or long, raises FormatError naming ``what``."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"malformed {what}: {exc}") from exc
+
+
 def write_pgm_file(image: np.ndarray, path: str) -> None:
     atomic_write(path, write_pgm(image))
 
@@ -123,10 +124,65 @@ def read_pgm_file(path: str) -> np.ndarray:
         return read_pgm(fh.read())
 
 
+# the JSON values each field type accepts, and their name in messages
+_JSON_KINDS = {str: ((str,), "strings"), float: ((int, float), "numbers"), int: ((int,), "integers")}
+
+
+class JsonRecord:
+    """Base of the frozen dataclasses stored one canonical JSON line each.
+
+    Writing drops the None fields. Reading checks every field against its
+    declared type: a float takes any JSON number, and a bool is no number.
+    A field typed ``X | None``, ``error`` aside, may be absent or null only
+    on a line that carries ``error``. Each subclass names its lines in ``_what``.
+    """
+
+    def to_json(self) -> str:
+        return canonical_json({k: v for k, v in dataclasses.asdict(self).items() if v is not None})
+
+    @classmethod
+    @functools.cache
+    def _schema(cls) -> tuple:
+        """(name, type, accepted JSON types, their name, nullable) per field;
+        the arguments of a type ``X | None`` are (X, None)."""
+        hints = typing.get_type_hints(cls)
+        fields = dataclasses.fields(cls)
+        types = [typing.get_args(hints[f.name]) or (hints[f.name],) for f in fields]
+        return tuple((f.name, t[0], *_JSON_KINDS[t[0]], len(t) > 1) for f, t in zip(fields, types))
+
+    @classmethod
+    def from_json(cls, line: str | bytes):
+        """One record from a line of text or UTF-8 bytes."""
+        d = parse_json(line, cls._what)
+        values = {}
+        try:
+            if not isinstance(d, dict):
+                raise TypeError("not an object")
+            for name, kind, kinds, noun, nullable in cls._schema():
+                v = d.get(name)
+                if v is None and nullable and (name == "error" or d.get("error") is not None):
+                    values[name] = None
+                elif isinstance(v, bool) or not isinstance(v, kinds):
+                    got = "null" if v is None else type(v).__name__
+                    raise TypeError(f"{name} takes {noun}, not {got}")
+                else:
+                    values[name] = kind(v)
+        except (TypeError, OverflowError) as exc:
+            raise FormatError(f"malformed {cls._what}: {exc}") from exc
+        return cls(**values)
+
+    @classmethod
+    def from_lines(cls, data: bytes) -> list:
+        """A record for every non-blank line of ``data``."""
+        return [cls.from_json(line) for line in data.splitlines() if line.strip()]
+
+
 @dataclass(frozen=True)
-class ManifestRecord:
+class ManifestRecord(JsonRecord):
     """One sample of a sweep; ``error`` is set instead of the file fields
     when the solver failed for that volume fraction."""
+
+    _what = "manifest line"
 
     problem: str
     vf: float
@@ -137,33 +193,10 @@ class ManifestRecord:
     fingerprint: str
     error: str | None = None
 
-    def to_json(self) -> str:
-        d = {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
-        return json.dumps(d, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, line: str | bytes) -> "ManifestRecord":
-        """One record from a manifest line; bytes are decoded here, so a
-        line that is not UTF-8 is malformed like any other."""
-        try:
-            d = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
-            if not isinstance(d, dict) or not all(
-                isinstance(d.get(k), (str, type(None)))
-                for k in ("problem", "input", "target", "fingerprint", "error")
-            ):
-                raise TypeError("not an object whose names, paths and errors are strings")
-            return cls(
-                problem=d["problem"],
-                vf=float(d["vf"]),
-                input=d.get("input"),
-                target=d.get("target"),
-                objective=d.get("objective"),
-                iterations=d.get("iterations"),
-                fingerprint=d["fingerprint"],
-                error=d.get("error"),
-            )
-        except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
-            raise FormatError(f"malformed manifest line: {exc}") from exc
+    def files_exist(self, base: str) -> bool:
+        """Whether the input and target files lie under ``base``."""
+        return all(p is not None and os.path.exists(os.path.join(base, p))
+                   for p in (self.input, self.target))
 
 
 def config_fingerprint(problem: str, cfg) -> str:
@@ -171,15 +204,12 @@ def config_fingerprint(problem: str, cfg) -> str:
     SOLVER_REVISION."""
     d = dataclasses.asdict(cfg)
     d.pop("vf", None)
-    blob = json.dumps(
-        {"problem": problem, "config": d, "solver": SOLVER_REVISION},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    blob = canonical_json({"problem": problem, "config": d, "solver": SOLVER_REVISION})
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def manifest_bytes(records: list[ManifestRecord]) -> bytes:
+def manifest_bytes(records: typing.Sequence[JsonRecord]) -> bytes:
+    """One line per record: the form of both the manifest and the report."""
     return "".join(r.to_json() + "\n" for r in records).encode("utf-8")
 
 
@@ -194,8 +224,7 @@ def read_manifest(path: str, validate: bool = True) -> list[ManifestRecord]:
     and existence of every referenced file; violations raise FormatError.
     """
     with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    records = [ManifestRecord.from_json(line) for line in lines if line.strip()]
+        records = ManifestRecord.from_lines(fh.read())
     if not validate:
         return records
     base = os.path.dirname(os.path.abspath(path))
@@ -207,10 +236,8 @@ def read_manifest(path: str, validate: bool = True) -> list[ManifestRecord]:
         if r.vf <= prev:
             raise FormatError(f"manifest vf not strictly increasing at {r.vf}")
         prev = r.vf
-        if r.error is None:
-            for rel in (r.input, r.target):
-                if rel is None or not os.path.exists(os.path.join(base, rel)):
-                    raise FormatError(f"manifest references missing file {rel}")
+        if r.error is None and not r.files_exist(base):
+            raise FormatError(f"manifest references missing file {r.input} or {r.target}")
     return records
 
 
@@ -264,20 +291,18 @@ def generate_dataset(
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
 
+    try:
+        with open(manifest_path, "rb") as fh:
+            previous = fh.read()
+    except FileNotFoundError:
+        previous = b""
     done: dict[float, ManifestRecord] = {}
-    if os.path.exists(manifest_path):
-        try:
-            for r in read_manifest(manifest_path, validate=False):
-                if r.fingerprint != fingerprint or r.error is not None:
-                    continue
-                paths_ok = all(
-                    p is not None and os.path.exists(os.path.join(out_dir, p))
-                    for p in (r.input, r.target)
-                )
-                if paths_ok:
-                    done[r.vf] = r
-        except FormatError:
-            pass  # unreadable manifest: regenerate everything
+    try:
+        for r in ManifestRecord.from_lines(previous):
+            if r.fingerprint == fingerprint and r.error is None and r.files_exist(out_dir):
+                done[r.vf] = r
+    except FormatError:
+        pass  # unreadable manifest: regenerate everything
 
     def run_one(run_cfg, tag: str) -> ManifestRecord:
         vf = run_cfg.vf
@@ -311,28 +336,19 @@ def generate_dataset(
         records = [run_one(c, t) for c, t in zip(run_cfgs, tags)]
 
     # a resume that changed nothing leaves the manifest's inode and mtime alone
-    try:
-        with open(manifest_path, "rb") as fh:
-            unchanged = fh.read() == manifest_bytes(records)
-    except FileNotFoundError:
-        unchanged = False
-    if not unchanged:
+    if previous != manifest_bytes(records):
         write_manifest(records, manifest_path)
     return records
 
 
 def load_samples(manifest_path: str) -> list[tuple[np.ndarray, np.ndarray]]:
     """(input, target) float32 (H, W, 1) pairs for every non-error record."""
-    records = read_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
-    out = []
-    for r in records:
-        if r.error is not None:
-            continue
-        x = read_pgm_file(os.path.join(base, r.input)).astype(np.float32)[:, :, None]
-        y = read_pgm_file(os.path.join(base, r.target)).astype(np.float32)[:, :, None]
-        out.append((x, y))
-    return out
+
+    def load(rel: str) -> np.ndarray:
+        return read_pgm_file(os.path.join(base, rel)).astype(np.float32)[:, :, None]
+
+    return [(load(r.input), load(r.target)) for r in read_manifest(manifest_path) if r.error is None]
 
 
 def field_from_pgm_file(path: str) -> DensityField:

@@ -9,8 +9,6 @@ penalized physics as the targets; no thresholding is applied anywhere.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -18,11 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import (
-    ManifestRecord,
+    JsonRecord,
     atomic_write,
     config_fingerprint,
+    field_from_pgm_file,
+    manifest_bytes,
     read_manifest,
-    read_pgm_file,
 )
 from .errors import FormatError, ToacnnError
 from .fem import DensityField
@@ -42,9 +41,11 @@ def volume_error(pred: DensityField, target: DensityField) -> float:
 
 
 @dataclass(frozen=True)
-class EvalRecord:
+class EvalRecord(JsonRecord):
     """One (vf, n) cell of a sweep report; ``error`` replaces the numbers
     when that cell could not be computed."""
+
+    _what = "report line"
 
     problem: str
     vf: float
@@ -54,36 +55,6 @@ class EvalRecord:
     objective_pred: float | None
     objective_target: float | None
     error: str | None = None
-
-    def to_json(self) -> str:
-        d = {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
-        return json.dumps(d, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, line: str | bytes) -> "EvalRecord":
-        """One record from a report line; bytes are decoded here, so a line
-        that is not UTF-8 is malformed like any other."""
-        try:
-            d = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
-            return cls(
-                problem=d["problem"],
-                vf=float(d["vf"]),
-                n=int(d["n"]),
-                v_err=d.get("v_err"),
-                obj_err=d.get("obj_err"),
-                objective_pred=d.get("objective_pred"),
-                objective_target=d.get("objective_target"),
-                error=d.get("error"),
-            )
-        except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
-            raise FormatError(f"malformed report line: {exc}") from exc
-
-
-def _find_record(records: list[ManifestRecord], vf: float) -> ManifestRecord | None:
-    for r in records:
-        if abs(r.vf - vf) < 1e-9:
-            return r
-    return None
 
 
 def eval_report(
@@ -123,7 +94,7 @@ def eval_report(
             def fail(msg: str) -> EvalRecord:
                 return EvalRecord(problem, vf, n, None, None, None, None, error=msg)
 
-            rec = _find_record(records, vf)
+            rec = next((r for r in records if abs(r.vf - vf) < 1e-9), None)
             if rec is None:
                 out.append(fail("no manifest sample at this volume fraction"))
                 continue
@@ -132,9 +103,7 @@ def eval_report(
                 continue
             try:
                 if vf not in target_cache:
-                    field = DensityField.from_image(
-                        read_pgm_file(os.path.join(base, rec.target))
-                    )
+                    field = field_from_pgm_file(os.path.join(base, rec.target))
                     target_cache[vf] = (field, cfg.evaluate(field))
                 target, obj_t = target_cache[vf]
                 pred = infer(checkpoints[n], vf)
@@ -176,11 +145,9 @@ def render_report(records: Sequence[EvalRecord]) -> str:
 
 
 def write_report(records: Sequence[EvalRecord], path: str) -> None:
-    body = "".join(r.to_json() + "\n" for r in records)
-    atomic_write(path, body.encode("utf-8"))
+    atomic_write(path, manifest_bytes(records))
 
 
 def read_report(path: str) -> list[EvalRecord]:
     with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    return [EvalRecord.from_json(line) for line in lines if line.strip()]
+        return EvalRecord.from_lines(fh.read())

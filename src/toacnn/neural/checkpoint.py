@@ -9,14 +9,13 @@ and a load-save round trip is byte-identical.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dataset import atomic_write
+from ..dataset import atomic_write, canonical_json, parse_json
 from ..errors import FormatError
 from .profile import NetworkProfile
 
@@ -53,7 +52,7 @@ def save_checkpoint(ck: Checkpoint) -> bytes:
             for arr, (name, _, _) in zip(ck.params, ck.profile.parameter_specs())
         ],
     }
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    head = canonical_json(header).encode("utf-8")
     chunks = [MAGIC, struct.pack("<Q", len(head)), head]
     for arr in ck.params:
         chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
@@ -66,14 +65,14 @@ def load_checkpoint(data: bytes) -> Checkpoint:
     (head_len,) = struct.unpack("<Q", data[8:16])
     if 16 + head_len > len(data):
         raise FormatError("checkpoint truncated inside header")
+    header = parse_json(data[16 : 16 + head_len], "checkpoint header")
     try:
-        header = json.loads(data[16 : 16 + head_len].decode("utf-8"))
         profile = NetworkProfile.from_dict(header["profile"])
         seed = int(header["seed"])
         epochs = int(header["epochs"])
         loss_tail = [float(v) for v in header["loss_tail"]]
         tensors = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"malformed checkpoint header: {exc}") from exc
 
     specs = profile.parameter_specs()

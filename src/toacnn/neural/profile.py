@@ -8,6 +8,7 @@ configurations can be sized without allocating anything.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -103,12 +104,7 @@ class NetworkProfile:
         return f * n + n + n * f + f
 
     def to_dict(self) -> dict:
-        return {
-            "input_size": self.input_size,
-            "encoder": [list(s) for s in self.encoder],
-            "adaptive_units": self.adaptive_units,
-            "decoder": [list(s) for s in self.decoder],
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkProfile":

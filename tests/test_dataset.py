@@ -41,6 +41,14 @@ class TestInputImage:
         with pytest.raises(ValueError):
             ds.make_input_image(1.2, 4, 4)
 
+    @pytest.mark.parametrize("width, height", [(1, 1), (1, 7), (7, 1), (10, 4), (13, 9)])
+    def test_fill_is_the_first_pixels_bottom_up_left_to_right(self, width, height):
+        for vf in np.linspace(0.0, 1.0, 101):
+            k = int(round(vf * width * height))
+            flat = ds.make_input_image(vf, width, height)[::-1].ravel()
+            assert flat.dtype == float
+            assert np.array_equal(flat, np.r_[np.ones(k), np.zeros(width * height - k)])
+
 
 def byte_edits(blob):
     """Up to four (position, new byte) edits of ``blob``."""
@@ -116,6 +124,15 @@ class TestPgm:
     def test_overlong_header_number_rejected(self):
         with pytest.raises(FormatError, match="header token"):
             ds.read_pgm(b"P5\n" + b"1" * 5000 + b" 1\n255\n\x00")
+
+    def test_number_right_after_magic_rejected(self):
+        # netpbm needs whitespace between the magic and the width
+        with pytest.raises(FormatError, match="header token"):
+            ds.read_pgm(b"P51 1\n255\n\x00")
+
+    def test_comment_may_end_any_header_token(self):
+        blob = b"P5 # w\n2#h\n\t1\n#m\n255\n\x00\xff"
+        assert np.array_equal(ds.read_pgm(blob), [[1.0, 0.0]])
 
     @given(edits=byte_edits(_PGM), cut=st.none() | st.integers(0, len(_PGM)),
            header_only=st.booleans())
@@ -225,6 +242,21 @@ class TestManifest:
         line = '{"fingerprint":"f","input":5,"problem":"cantilever","target":"t","vf":0.2}'
         with pytest.raises(FormatError, match="strings"):
             ds.ManifestRecord.from_json(line)
+
+    @pytest.mark.parametrize("field, value", [
+        ("vf", "0.2"), ("iterations", 31.0), ("iterations", True), ("objective", "x"),
+        ("objective", False), ("target", None), ("fingerprint", None), ("error", ["x"]),
+    ])
+    def test_mistyped_or_missing_field_is_malformed(self, tmp_path, field, value):
+        d = json.loads(self.make_records()[0].to_json())
+        if value is None:
+            del d[field]
+        else:
+            d[field] = value
+        path = tmp_path / "manifest.jsonl"
+        path.write_text(json.dumps(d) + "\n")
+        with pytest.raises(FormatError, match=field):
+            ds.read_manifest(str(path), validate=False)
 
     def test_undecodable_byte_is_malformed(self, tmp_path):
         path = tmp_path / "manifest.jsonl"

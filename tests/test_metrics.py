@@ -1,5 +1,7 @@
 """Error metrics and the (vf, n) sweep report."""
 
+import dataclasses
+import json
 import os
 
 import numpy as np
@@ -115,6 +117,51 @@ class TestReadReport:
             mx.read_report(str(path))
         except FormatError:
             pass
+
+
+# one JSON value of each kind a hand-edited or damaged line could hold
+_SWAPS = ["x", [1], True, None, 1, 1.5, {}]
+
+
+class TestReportFieldTypes:
+    @given(line=st.sampled_from(_REPORT.splitlines()),
+           field=st.sampled_from([f.name for f in dataclasses.fields(mx.EvalRecord)]),
+           value=st.sampled_from(_SWAPS))
+    @settings(max_examples=300, deadline=None)
+    def test_every_record_read_renders(self, report_dir, line, field, value):
+        d = json.loads(line)
+        d[field] = value
+        path = report_dir / "swapped.jsonl"
+        path.write_text(json.dumps(d) + "\n")
+        try:
+            records = mx.read_report(str(path))
+        except FormatError:
+            return
+        mx.render_report(records)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 1.5), ("n", True), ("vf", "0.5"), ("v_err", "x"), ("v_err", None), ("error", 1),
+    ])
+    def test_mistyped_field_is_malformed(self, field, value):
+        d = json.loads(_REPORT.splitlines()[0])
+        d[field] = value
+        with pytest.raises(FormatError, match=field):
+            mx.EvalRecord.from_json(json.dumps(d))
+
+    def test_missing_numbers_are_allowed_only_with_an_error(self):
+        line = '{"n":0,"problem":"micro","vf":0.3}'
+        with pytest.raises(FormatError, match="v_err"):
+            mx.EvalRecord.from_json(line)
+        r = mx.EvalRecord.from_json(line[:-1] + ',"error":"no target"}')
+        assert r.v_err is None and r.error == "no target"
+
+    def test_integral_numbers_read_as_floats(self):
+        r = mx.EvalRecord.from_json(
+            '{"n":0,"obj_err":2,"objective_pred":3,"objective_target":4,"problem":"micro",'
+            '"v_err":1,"vf":1}'
+        )
+        assert r == mx.EvalRecord("micro", 1.0, 0, 1.0, 2.0, 3.0, 4.0)
+        assert all(type(v) is float for v in (r.vf, r.v_err, r.obj_err))
 
 
 @pytest.fixture(scope="module")
