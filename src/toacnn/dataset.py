@@ -63,8 +63,9 @@ def write_pgm(image: np.ndarray) -> bytes:
 
 
 # P5, then width, height and maxval, each after whitespace or comments that
-# run from # to the end of their line, then one whitespace byte
-_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d{1,9})" * 3 + rb"\s")
+# run from # to the end of their line (a CR or an LF, as in Netpbm), then
+# one whitespace byte
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*[\r\n])+(\d{1,9})" * 3 + rb"\s")
 
 
 def read_pgm(data: bytes) -> np.ndarray:
@@ -128,6 +129,17 @@ def read_pgm_file(path: str) -> np.ndarray:
 _JSON_KINDS = {str: ((str,), "strings"), float: ((int, float), "numbers"), int: ((int,), "integers")}
 
 
+def json_value(v, kind: type, name: str):
+    """A parsed JSON value as ``kind`` (str, float or int), if it is one:
+    a float takes any JSON number, and a bool is no number. Anything else
+    raises TypeError naming the field ``name``."""
+    kinds, noun = _JSON_KINDS[kind]
+    if isinstance(v, bool) or not isinstance(v, kinds):
+        got = "null" if v is None else type(v).__name__
+        raise TypeError(f"{name} takes {noun}, not {got}")
+    return kind(v)
+
+
 class JsonRecord:
     """Base of the frozen dataclasses stored one canonical JSON line each.
 
@@ -143,12 +155,12 @@ class JsonRecord:
     @classmethod
     @functools.cache
     def _schema(cls) -> tuple:
-        """(name, type, accepted JSON types, their name, nullable) per field;
-        the arguments of a type ``X | None`` are (X, None)."""
+        """(name, type, nullable) per field; the arguments of a type
+        ``X | None`` are (X, None)."""
         hints = typing.get_type_hints(cls)
         fields = dataclasses.fields(cls)
         types = [typing.get_args(hints[f.name]) or (hints[f.name],) for f in fields]
-        return tuple((f.name, t[0], *_JSON_KINDS[t[0]], len(t) > 1) for f, t in zip(fields, types))
+        return tuple((f.name, t[0], len(t) > 1) for f, t in zip(fields, types))
 
     @classmethod
     def from_json(cls, line: str | bytes):
@@ -158,15 +170,12 @@ class JsonRecord:
         try:
             if not isinstance(d, dict):
                 raise TypeError("not an object")
-            for name, kind, kinds, noun, nullable in cls._schema():
+            for name, kind, nullable in cls._schema():
                 v = d.get(name)
                 if v is None and nullable and (name == "error" or d.get("error") is not None):
                     values[name] = None
-                elif isinstance(v, bool) or not isinstance(v, kinds):
-                    got = "null" if v is None else type(v).__name__
-                    raise TypeError(f"{name} takes {noun}, not {got}")
                 else:
-                    values[name] = kind(v)
+                    values[name] = json_value(v, kind, name)
         except (TypeError, OverflowError) as exc:
             raise FormatError(f"malformed {cls._what}: {exc}") from exc
         return cls(**values)

@@ -4,7 +4,13 @@ Layout: 8-byte magic, little-endian u64 header length, canonical JSON header
 (sorted keys, no whitespace), then every tensor's raw float32 little-endian
 payload in declaration order. The header pins the profile, seed, epoch count, the
 loss tail, and each tensor's name and shape, so a file is self-describing
-and a load-save round trip is byte-identical.
+and a load-save round trip is byte-identical. Every number in the header is
+read as the JSON type it was written as: an integer field takes a JSON
+integer and no bool, and the loss tail takes numbers.
+
+A checkpoint's tensors never change once it is built, so what is derived
+from them, such as the product layouts inference needs, is built once and
+kept with the checkpoint.
 """
 
 from __future__ import annotations
@@ -12,11 +18,13 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ..dataset import atomic_write, canonical_json, parse_json
+from ..dataset import atomic_write, canonical_json, json_value, parse_json
 from ..errors import FormatError
+from .model import product_layouts
 from .profile import NetworkProfile
 
 MAGIC = b"TOACNN01"
@@ -24,8 +32,17 @@ MAGIC = b"TOACNN01"
 
 @dataclass
 class Checkpoint:
+    """A trained network: its profile, its tensors in ``parameter_specs()``
+    order, and how it was trained.
+
+    The checkpoint owns its tensors and makes them read-only when it is
+    built. An array that shares another's memory is copied first, so that
+    no view can change it; one that owns its memory, as ``train``'s and
+    ``load_checkpoint``'s do, is made read-only in place, without a copy.
+    """
+
     profile: NetworkProfile
-    params: list[np.ndarray]
+    params: tuple[np.ndarray, ...]
     seed: int
     epochs: int
     loss_tail: list[float] = field(default_factory=list)
@@ -39,6 +56,16 @@ class Checkpoint:
         for arr, (name, shape, _) in zip(self.params, specs):
             if tuple(arr.shape) != shape:
                 raise ValueError(f"tensor {name} has shape {arr.shape}, expected {shape}")
+        owned = tuple(arr if arr.flags.owndata else arr.copy() for arr in self.params)
+        for arr in owned:
+            arr.flags.writeable = False
+        self.params = owned
+
+    @cached_property
+    def layouts(self) -> dict[int, np.ndarray]:
+        """``model.product_layouts`` of the tensors, built on first use and
+        freed with the checkpoint."""
+        return product_layouts(self.profile, self.params)
 
 
 def save_checkpoint(ck: Checkpoint) -> bytes:
@@ -68,10 +95,13 @@ def load_checkpoint(data: bytes) -> Checkpoint:
     header = parse_json(data[16 : 16 + head_len], "checkpoint header")
     try:
         profile = NetworkProfile.from_dict(header["profile"])
-        seed = int(header["seed"])
-        epochs = int(header["epochs"])
-        loss_tail = [float(v) for v in header["loss_tail"]]
-        tensors = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
+        seed = json_value(header["seed"], int, "seed")
+        epochs = json_value(header["epochs"], int, "epochs")
+        loss_tail = [json_value(v, float, "loss_tail") for v in header["loss_tail"]]
+        tensors = [
+            (t["name"], tuple(json_value(v, int, "shape") for v in t["shape"]))
+            for t in header["tensors"]
+        ]
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"malformed checkpoint header: {exc}") from exc
 

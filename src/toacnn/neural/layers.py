@@ -19,8 +19,12 @@ instead of a sliding-window einsum:
   and Cout swapped: a column matrix of d times a (kh*kw*Cout, Cin) matrix.
 - ``tconv``: stride equals kernel size f, so every input pixel owns one
   disjoint f-by-f output block. The forward is one (f*f*Cout, Cin) @
-  (Cin, H*W) product followed by a block transpose. The cache is (input,
-  kernels). The backward and the parameter gradients each regroup the
+  (Cin, H*W) product followed by a block transpose, which writes the output
+  and adds the bias in one pass. ``tconv_layout`` copies the kernels into
+  that (f*f*Cout, Cin) matrix. Training's forward does so on every call,
+  since its kernels change every step; inference hands in the matrix that
+  its checkpoint built once (see ``Checkpoint.layouts``). The cache is
+  (input, kernels). The backward and the parameter gradients each regroup the
   output gradient as a (f*f*Cout, H*W) matrix; the kernel gradient is that
   matrix @ the (H*W, Cin) input, and the input gradient is the
   (Cin, f*f*Cout) kernels @ that matrix.
@@ -102,7 +106,8 @@ def conv2d_forward(x, kernels, bias):
     kh, kw, cin, cout = kernels.shape
     h, w, _ = x.shape
     cols = _im2col(x, kh, kw)
-    y = _matmul(cols, kernels.reshape(kh * kw * cin, cout)) + bias
+    y = _matmul(cols, kernels.reshape(kh * kw * cin, cout))
+    y += bias
     return y.reshape(h, w, cout).astype(np.float32, copy=False), (cols, kernels)
 
 
@@ -171,19 +176,30 @@ def dense_backward(cache, d_out):
     return (weight @ d_out).astype(np.float32, copy=False)
 
 
-def tconv_forward(x, kernels, bias):
+def tconv_layout(kernels):
+    """A transposed conv's (f, f, Cin, Cout) kernels as the (f*f*Cout, Cin)
+    matrix of its forward product."""
+    f, _, cin, cout = kernels.shape
+    return kernels.transpose(0, 1, 3, 2).reshape(f * f * cout, cin)
+
+
+def tconv_forward(x, kernels, bias, layout=None):
     """Transposed convolution with stride equal to the kernel size.
 
     Every input pixel expands into one disjoint f-by-f output block, so the
     output is an exact f-fold upsampling with no overlap between blocks.
+    ``layout`` is ``tconv_layout(kernels)`` if the caller already has it.
     """
     f, _, cin, cout = kernels.shape
     h, w, _ = x.shape
+    # a layout made here is freed with the product, before y is allocated:
+    # held past it, full_profile's 13 MB one raised training's peak RSS by 10 MB
     taps = _matmul(
-        kernels.transpose(0, 1, 3, 2).reshape(f * f * cout, cin), x.reshape(h * w, cin).T
-    )
-    y = taps.reshape(f, f, cout, h, w).transpose(3, 0, 4, 1, 2).reshape(h * f, w * f, cout)
-    return (y + bias).astype(np.float32, copy=False), (x, kernels)
+        tconv_layout(kernels) if layout is None else layout, x.reshape(h * w, cin).T
+    ).reshape(f, f, cout, h, w)
+    y = np.empty((h, f, w, f, cout), dtype=np.result_type(taps, bias))
+    np.add(taps.transpose(3, 0, 4, 1, 2), bias, out=y)
+    return y.reshape(h * f, w * f, cout).astype(np.float32, copy=False), (x, kernels)
 
 
 def _tconv_regroup(d_out, f, h, w):

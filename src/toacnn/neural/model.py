@@ -4,6 +4,8 @@ Parameters live in a flat list of float32 arrays in the exact order of
 ``profile.parameter_specs()``; gradients come back in the same order. The
 forward/backward walks share one op plan so the two can never drift apart,
 and the forward and the non-finite probe share one walk over that plan.
+A forward may be handed each transposed conv's kernels ready in the layout
+of its product (``product_layouts``), as inference is by its checkpoint.
 The backward walk hands each layer's parameter gradients out as soon as it
 has that layer's input gradient, so training can compute them, and apply
 the layer's update, on the helper thread while the walk goes on.
@@ -11,6 +13,7 @@ the layer's update, on the helper thread while the walk goes on.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -28,6 +31,7 @@ from .layers import (
     relu_forward,
     tconv_backward,
     tconv_forward,
+    tconv_layout,
     tconv_param_grads,
 )
 from .profile import NetworkProfile
@@ -75,7 +79,15 @@ def init_params(profile: NetworkProfile, seed: int) -> list[np.ndarray]:
     return params
 
 
-def _walk(profile: NetworkProfile, params: list[np.ndarray], x: np.ndarray):
+def product_layouts(
+    profile: NetworkProfile, params: Sequence[np.ndarray]
+) -> dict[int, np.ndarray]:
+    """Each transposed conv's kernels as the matrix of its forward product
+    (``tconv_layout``), keyed by the kernels' index in ``params``."""
+    return {p: tconv_layout(params[p]) for kind, _, p, _ in _plan(profile) if kind == "tconv"}
+
+
+def _walk(profile: NetworkProfile, params: Sequence[np.ndarray], x: np.ndarray, layouts=None):
     """Run the plan op by op, yielding (op name, output, cache) after each."""
     for kind, name, p, aux in _plan(profile):
         if kind == "conv":
@@ -93,21 +105,27 @@ def _walk(profile: NetworkProfile, params: list[np.ndarray], x: np.ndarray):
             c = x.shape
             x = x.reshape(aux)
         else:
-            x, c = tconv_forward(x, params[p], params[p + 1])
+            layout = None if layouts is None else layouts[p]
+            x, c = tconv_forward(x, params[p], params[p + 1], layout)
         yield name, x, c
 
 
 def forward(
-    profile: NetworkProfile, params: list[np.ndarray], x: np.ndarray
+    profile: NetworkProfile,
+    params: Sequence[np.ndarray],
+    x: np.ndarray,
+    layouts: dict[int, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, list]:
-    """Run the network; returns (output, caches) for a later backward."""
+    """Run the network; returns (output, caches) for a later backward.
+    ``layouts``, if given, is ``product_layouts(profile, params)``: the
+    transposed convs then take their kernels' matrices from it."""
     x = np.asarray(x, dtype=np.float32)
     if x.shape != (profile.input_size, profile.input_size, 1):
         raise ValueError(
             f"expected input {(profile.input_size, profile.input_size, 1)}, got {x.shape}"
         )
     caches = []
-    for _, x, c in _walk(profile, params, x):
+    for _, x, c in _walk(profile, params, x, layouts):
         caches.append(c)
     return x, caches
 
@@ -161,9 +179,14 @@ def backward(
     return grads
 
 
-def predict(profile: NetworkProfile, params: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+def predict(
+    profile: NetworkProfile,
+    params: Sequence[np.ndarray],
+    x: np.ndarray,
+    layouts: dict[int, np.ndarray] | None = None,
+) -> np.ndarray:
     """Forward pass without keeping caches."""
-    y, _ = forward(profile, params, x)
+    y, _ = forward(profile, params, x, layouts)
     return y
 
 

@@ -12,6 +12,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from ..dataset import json_value
+
 
 @dataclass(frozen=True)
 class NetworkProfile:
@@ -108,11 +110,17 @@ class NetworkProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkProfile":
+        """The profile of a parsed JSON object; every size in it must be a
+        JSON integer, or TypeError names the field."""
+
+        def stages(name):
+            return tuple(tuple(json_value(v, int, name) for v in s) for s in d[name])
+
         return cls(
-            input_size=int(d["input_size"]),
-            encoder=tuple(tuple(int(v) for v in s) for s in d["encoder"]),
-            adaptive_units=int(d["adaptive_units"]),
-            decoder=tuple(tuple(int(v) for v in s) for s in d["decoder"]),
+            input_size=json_value(d["input_size"], int, "input_size"),
+            encoder=stages("encoder"),
+            adaptive_units=json_value(d["adaptive_units"], int, "adaptive_units"),
+            decoder=stages("decoder"),
         )
 
 

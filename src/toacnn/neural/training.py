@@ -215,6 +215,7 @@ def train(
         if not np.all(np.isfinite(p)):
             raise TrainingDiverged(cfg.epochs - 1, b0 // cfg.batch_size, name)
 
+    # each array owns its memory, so the checkpoint takes it without a copy
     ck = Checkpoint(
         profile=profile,
         params=params,
@@ -226,11 +227,13 @@ def train(
 
 
 def infer(ck: Checkpoint, vf: float) -> DensityField:
-    """Predict a design for a volume fraction; output clamped into [0, 1]."""
+    """Predict a design for a volume fraction; output clamped into [0, 1].
+    The transposed convs take their kernels' product layouts from the
+    checkpoint, which builds them on its first prediction."""
     if not (0.0 < vf < 1.0):
         raise ValueError(f"vf must lie in (0, 1), got {vf}")
     side = ck.profile.input_size
     x = make_input_image(vf, side, side).astype(np.float32)[:, :, None]
-    y = predict(ck.profile, ck.params, x)
+    y = predict(ck.profile, ck.params, x, ck.layouts)
     values = np.clip(y[:, :, 0].astype(np.float64), 0.0, 1.0)
     return DensityField(Grid(side, side), values.ravel())

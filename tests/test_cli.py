@@ -309,6 +309,11 @@ class TestTrain:
                          id="not-utf8"),
             pytest.param(json.dumps({**tiny_profile().to_dict(), "decoder": "x"}).encode(),
                          id="bad-decoder"),
+            pytest.param(json.dumps({**tiny_profile().to_dict(), "input_size": 8.9}).encode(),
+                         id="float-size"),
+            pytest.param(json.dumps({**tiny_profile().to_dict(),
+                                     "encoder": [[True, 2, 2], [3, 3, 2]]}).encode(),
+                         id="kernel-true"),
         ],
     )
     def test_malformed_profile_file_exits_3(self, data, tmp_path, manifest):

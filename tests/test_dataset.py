@@ -100,6 +100,13 @@ class TestPgm:
         patched = blob.replace(b"P5\n", b"P5\n# a comment\n", 1)
         assert np.array_equal(ds.read_pgm(patched), ds.read_pgm(blob))
 
+    @pytest.mark.parametrize("end", [b"\r", b"\n", b"\r\n"])
+    def test_comment_ends_at_cr_or_lf(self, end):
+        # as in Netpbm: a comment runs to the first CR or LF
+        image = ds.read_pgm(b"P5 #c" + end + b"2 1\n255\n\x00\x00")
+        assert image.shape == (1, 2)
+        assert np.all(image == 1.0)
+
     def test_bad_magic(self):
         with pytest.raises(FormatError, match="P5"):
             ds.read_pgm(b"P2\n1 1\n255\n0")

@@ -105,8 +105,10 @@ class TestCorruption:
             load_checkpoint(blob)
 
     def test_nonfinite_tensor_rejected(self):
-        ck = make_ck()
-        ck.params[0][0, 0, 0, 0] = np.float32(np.nan)
+        # a built checkpoint's tensors are read-only: poison one beforehand
+        params = init_params(PROFILE, 0)
+        params[0][0, 0, 0, 0] = np.float32(np.nan)
+        ck = Checkpoint(PROFILE, params, 0, 123, [0.5, 0.25, 0.125])
         with pytest.raises(FormatError, match="non-finite"):
             load_checkpoint(save_checkpoint(ck))
 
@@ -168,6 +170,27 @@ class TestMalformedHeader:
         with pytest.raises(FormatError, match="header"):
             load_checkpoint(blob)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda h: h["profile"].update(input_size=8.9), id="input-size-float"),
+            pytest.param(lambda h: h["profile"]["encoder"][0].__setitem__(0, True),
+                         id="kernel-true"),
+            pytest.param(lambda h: h["profile"].update(adaptive_units="4"), id="units-string"),
+            pytest.param(lambda h: h.update(seed="7"), id="seed-string"),
+            pytest.param(lambda h: h.update(seed=False), id="seed-false"),
+            pytest.param(lambda h: h.update(epochs=2.9), id="epochs-float"),
+            pytest.param(lambda h: h["loss_tail"].__setitem__(0, "1e3"), id="loss-string"),
+            pytest.param(lambda h: h["loss_tail"].__setitem__(0, True), id="loss-true"),
+            pytest.param(lambda h: h["tensors"][0]["shape"].__setitem__(0, 3.0),
+                         id="shape-float"),
+        ],
+    )
+    def test_number_of_the_wrong_json_type(self, edit):
+        # each of these once read as a coerced number
+        with pytest.raises(FormatError, match="malformed checkpoint header: .* takes"):
+            load_checkpoint(with_header(save_checkpoint(make_ck()), edit))
+
     def test_deeply_nested_header(self):
         head = b"[" * 100000
         with pytest.raises(FormatError, match="header"):
@@ -211,3 +234,25 @@ class TestValidation:
         params[0] = params[0][:, :, :, :1]
         with pytest.raises(ValueError, match="shape"):
             Checkpoint(PROFILE, params, 0, 1)
+
+
+class TestOwnership:
+    def test_tensors_are_read_only(self):
+        for ck in (make_ck(), load_checkpoint(save_checkpoint(make_ck()))):
+            for arr in ck.params:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[(0,) * arr.ndim] = 1.0
+
+    def test_owned_arrays_are_taken_as_they_are(self):
+        params = init_params(PROFILE, 0)
+        ck = Checkpoint(PROFILE, params, 0, 1)
+        assert all(a is b for a, b in zip(ck.params, params))
+
+    def test_a_view_is_copied(self):
+        base = init_params(PROFILE, 0)
+        params = [arr[...] for arr in base]  # views sharing base's memory
+        ck = Checkpoint(PROFILE, params, 0, 1)
+        before = save_checkpoint(ck)
+        for arr in base:
+            arr += 1.0
+        assert save_checkpoint(ck) == before

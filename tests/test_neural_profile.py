@@ -70,6 +70,25 @@ class TestCounting:
         p = small_profile(17)
         assert NetworkProfile.from_dict(p.to_dict()) == p
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("input_size", 40.9), ("input_size", True), ("adaptive_units", "17"),
+         ("adaptive_units", None)],
+    )
+    def test_from_dict_takes_integers_only(self, field, value):
+        d = {**small_profile(17).to_dict(), field: value}
+        with pytest.raises(TypeError, match=f"{field} takes integers"):
+            NetworkProfile.from_dict(d)
+
+    @pytest.mark.parametrize("part", ["encoder", "decoder"])
+    @pytest.mark.parametrize("value", [True, 2.0, "2"])
+    def test_from_dict_stage_takes_integers_only(self, part, value):
+        d = small_profile(17).to_dict()
+        d[part] = [list(s) for s in d[part]]
+        d[part][0][0] = value  # a kernel true once read as kernel 1
+        with pytest.raises(TypeError, match=f"{part} takes integers"):
+            NetworkProfile.from_dict(d)
+
 
 class TestInit:
     def test_deterministic(self):

@@ -1,11 +1,13 @@
 """Adam oracle, training determinism, divergence reporting, inference."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -15,8 +17,9 @@ from toacnn import helper
 from toacnn.errors import TrainingDiverged
 from toacnn.fem import DensityField
 from toacnn.neural import layers, model, training
-from toacnn.neural.checkpoint import save_checkpoint
-from toacnn.neural.model import init_params
+from toacnn.dataset import make_input_image
+from toacnn.neural.checkpoint import Checkpoint, save_checkpoint
+from toacnn.neural.model import init_params, predict
 from toacnn.neural.profile import NetworkProfile, full_profile, small_profile
 from toacnn.neural.training import AdamState, TrainConfig, adam_step, infer, train
 
@@ -356,3 +359,71 @@ class TestInfer:
         a = infer(ck, 0.3)
         b = infer(ck, 0.3)
         assert a.values.tobytes() == b.values.tobytes()
+
+
+def layout_checkpoint(profile, seed=8):
+    """He-initialised tensors with random biases, so that every layer sees a
+    varied input. At n = 0 the full profile's square dense weight (655 MB)
+    stays zero and its bias alone feeds the decoder."""
+    rng = np.random.default_rng(seed)
+    if profile.adaptive_units == 0 and profile.flatten_width > 1024:
+        params = init_params(full_profile(64), seed)
+        params[6:10] = [np.zeros((12800, 12800), np.float32), np.zeros(12800, np.float32)]
+    else:
+        params = init_params(profile, seed)
+    for arr, (name, _, _) in zip(params, profile.parameter_specs()):
+        if name.endswith(".bias"):
+            arr[:] = rng.uniform(-0.5, 1.0, arr.shape)
+    return Checkpoint(profile, params, seed, epochs=1)
+
+
+class TestProductLayouts:
+    @pytest.mark.parametrize(
+        "profile",
+        [full_profile(64), full_profile(0), small_profile(64), small_profile(0)],
+        ids=["full64", "full0", "small64", "small0"],
+    )
+    def test_cached_layout_gives_the_uncached_bytes(self, profile):
+        ck = layout_checkpoint(profile)
+        side = profile.input_size
+        for vf in (0.3, 0.45):
+            x = make_input_image(vf, side, side).astype(np.float32)[:, :, None]
+            uncached = predict(profile, ck.params, x)
+            assert predict(profile, ck.params, x, ck.layouts).tobytes() == uncached.tobytes()
+            expected = np.clip(uncached[:, :, 0].astype(np.float64), 0.0, 1.0).ravel()
+            assert infer(ck, vf).values.tobytes() == expected.tobytes()
+
+    def test_built_once_per_checkpoint(self, monkeypatch):
+        built, handed = [], []
+        layout = layers.tconv_layout
+        forward = model.tconv_forward
+
+        def counted(kernels):
+            built.append(kernels)
+            return layout(kernels)
+
+        def recording(x, kernels, bias, ready=None):
+            handed.append(ready)
+            return forward(x, kernels, bias, ready)
+
+        monkeypatch.setattr(layers, "tconv_layout", counted)
+        monkeypatch.setattr(model, "tconv_layout", counted)
+        monkeypatch.setattr(model, "tconv_forward", recording)
+        ck = layout_checkpoint(small_profile(64))
+        infer(ck, 0.3)
+        infer(ck, 0.6)
+        decoder = len(small_profile(64).decoder)
+        assert len(built) == decoder
+        assert len(handed) == 2 * decoder
+        assert all(m is not None for m in handed)
+        assert all(a is b for a, b in zip(handed[:decoder], handed[decoder:]))
+
+    def test_layouts_die_with_the_checkpoint(self):
+        ck = layout_checkpoint(small_profile(64))
+        infer(ck, 0.3)
+        refs = [weakref.ref(m) for m in ck.layouts.values()]
+        assert all(r() is not None for r in refs)
+        del ck
+        gc.collect()
+        assert all(r() is None for r in refs)
+
