@@ -477,7 +477,8 @@ def stiffness_assembly(grid: Grid) -> Assembly:
 
 # A block splits only from this many multiply-adds per half (size * w^2);
 # below it half A is the whole block, and S and B are empty. Half B of a
-# split block is factored and swept on the helper thread. Measured crossover,
+# split block is handed to the helper thread (see toacnn.helper), which
+# factors and sweeps it unless the caller takes it back. Measured crossover,
 # per-process solves of 12 iterations at one BLAS thread on a 2-vCPU host,
 # median ms per iteration whole -> split over 5-6 alternating pairs:
 # cantilever 40x40 (halves of 1.2e7) 10.1 -> 11.0 and arch 40x40 13.8 ->
@@ -516,15 +517,16 @@ def _ints(*values: int):
     return [ctypes.byref(ctypes.c_int(v)) for v in values]
 
 
-def _pbtrf(band: np.ndarray, kd: int) -> int:
+def _pbtrf(band: np.ndarray, kd: int, where: str = "leading") -> None:
     """Upper Cholesky factor, in place, of the band of ``kd`` superdiagonals
-    stored in the Fortran array ``band``; LAPACK's info, > 0 where a leading
-    minor is not positive definite."""
+    stored in the Fortran array ``band``. Raises SolverFailure, naming the
+    ``where`` minor, when a leading minor is not positive definite."""
     ldab, n = band.shape
     info = ctypes.c_int(0)
     if n:
         _DPBTRF(b"U", *_ints(n, kd), band.ctypes.data, *_ints(ldab), ctypes.byref(info))
-    return info.value
+    if info.value > 0:
+        raise SolverFailure(f"free block is not positive definite ({where} minor {info.value})")
 
 
 def _tbsv(band: np.ndarray, kd: int, x: np.ndarray, transpose: bool, backwards: bool = False):
@@ -534,12 +536,6 @@ def _tbsv(band: np.ndarray, kd: int, x: np.ndarray, transpose: bool, backwards: 
     if x.size:
         _DTBSV(b"U", b"T" if transpose else b"N", b"N", *_ints(x.size, kd), band.ctypes.data,
                *_ints(band.shape[0]), x.ctypes.data, *_ints(-1 if backwards else 1))
-
-
-def _check_definite(info: int, where: str) -> None:
-    """Raise SolverFailure for a _pbtrf ``info`` that names a failed minor."""
-    if info > 0:
-        raise SolverFailure(f"free block is not positive definite ({where} minor {info})")
 
 
 def _lead(a: np.ndarray) -> int:
@@ -635,7 +631,7 @@ class Factor:
     def _backsolve(self, b: np.ndarray) -> np.ndarray:
         """K^-1 b in band order, in place of b: the halves forward, the
         separator, the halves back. Half B's band runs in reverse order, so
-        its sweeps read B's part of b backwards; the helper thread takes them."""
+        its sweeps read B's part of b backwards; they go to the helper thread."""
         (band_a, band_b), (w_a, w_b), w = self.halves, self.couplings, self.width
         sep = self.separator.shape[1]
         if not sep:  # a block too small to split is half A alone
@@ -649,9 +645,9 @@ class Factor:
             if not transpose:
                 tail_a -= w_a @ x_s
                 head_b -= w_b @ x_s
-            half_b = helper.submit(_tbsv, band_b, w, x_b, transpose, True)
-            _tbsv(band_a, w, x_a, transpose)
-            half_b.result()
+            with helper.Jobs() as half_b:
+                half_b.submit(_tbsv, band_b, w, x_b, transpose, True)
+                _tbsv(band_a, w, x_a, transpose)
             if transpose:
                 x_s -= w_a.T @ tail_a + w_b.T @ head_b
                 _tbsv(self.separator, sep - 1, x_s, True)
@@ -667,11 +663,11 @@ def factorize(matrix: AssembledMatrix, fixed_dofs: np.ndarray) -> Factor:
     only its upper triangle is read. The block is ordered as the assembly
     says, natural for the open meshes and folded for the periodic cell (see
     microstructure), and split into two half bands and a separator (see
-    Factor). LAPACK ``pbtrf`` factors the two halves at once, one on the
-    helper thread, and then the separator's Schur complement; a block too
-    small to gain from the split is factored whole. The layout is built once
-    per assembly and Dirichlet set. A block that is not positive definite
-    raises SolverFailure.
+    Factor). LAPACK ``pbtrf`` factors the two halves at once, half B handed
+    to the helper thread, and then the separator's Schur complement; a
+    block too small to gain from the split is factored whole. The layout is
+    built once per assembly and Dirichlet set. A block that is not positive
+    definite raises SolverFailure.
     """
     assembly = getattr(matrix, "assembly", None)
     if assembly is None:
@@ -683,7 +679,7 @@ def factorize(matrix: AssembledMatrix, fixed_dofs: np.ndarray) -> Factor:
     w, m, sep = layout.width, layout.split, layout.separator
     band_a = layout.band(0, matrix.data)
     if not sep:  # a block too small to split is half A alone
-        _check_definite(_pbtrf(band_a, w), "leading")
+        _pbtrf(band_a, w)
         empty = band_a[:0, :0]
         return Factor(matrix, fixed_dofs, layout.order, w, (band_a, band_a[:, :0]),
                       (empty, empty), band_a[:1, :0])
@@ -703,11 +699,11 @@ def factorize(matrix: AssembledMatrix, fixed_dofs: np.ndarray) -> Factor:
     schur = schur.reshape((sep, sep), order="F")
     schur[...] = _band_block(band_a, m, m, sep, sep)  # K_SS, before pbtrf overwrites it
     schur[np.tril_indices(sep, -1)] = 0.0
-    half_b = helper.submit(_pbtrf, band_b, w)
-    infos = (_pbtrf(band_a, w), half_b.result())
+    with helper.Jobs() as half_b:
+        half_b.submit(_pbtrf, band_b, w)
+        _pbtrf(band_a, w)
     couplings = []
-    for band, info, k in zip(halves, infos, rows):
-        _check_definite(info, "leading")
+    for band, k in zip(halves, rows):
         # The factor's rows of the half against S. In this view the entries
         # further than w from the diagonal alias the factor of the half's own
         # S block, which nothing reads, so they are zeroed in place.
@@ -719,7 +715,7 @@ def factorize(matrix: AssembledMatrix, fixed_dofs: np.ndarray) -> Factor:
     w_b[...] = reversed_w_b[::-1, ::-1]  # B's rows and S back in their natural order
     for coupling in (w_a, w_b):
         _syrk_down(schur, coupling)
-    _check_definite(_pbtrf(separator, sep - 1), "separator")
+    _pbtrf(separator, sep - 1, "separator")
     return Factor(matrix, fixed_dofs, layout.order, w, halves, (w_a, w_b), separator)
 
 

@@ -1,15 +1,20 @@
 """The package's one helper thread, shared by the solvers and the network.
 
-The banded factorization hands one of its two halves to this thread, and a
-large network product the lower half of its output rows; the calling thread
-does the other half meanwhile. Those halves are raw BLAS and LAPACK calls,
-which run without the interpreter lock. Training also hands it whole numpy
-jobs through ``Jobs``: each layer's weight gradients and Adam update, which
-run while the calling thread carries the backward pass on. A job is Python
-code between its numpy calls, so it shares the interpreter lock with the
-calling thread, and any span around a package function it calls is timed on
-this thread. The thread starts with the first handed-over call; a forked
-child starts its own.
+All work reaches it through ``Jobs``, under one rule: a call the helper has
+not started when its caller finishes is taken back and run on the calling
+thread. So no caller waits behind another's queued work, and a call made on
+the helper thread itself never waits on that thread.
+
+The banded factorization and its back-solves hand it half B of a split
+block, and a large network product the lower half of its output rows; the
+calling thread does the other half meanwhile. Those halves are raw BLAS and
+LAPACK calls, which run without the interpreter lock, and each is the same
+call on either thread. Training also hands it whole numpy jobs: each layer's
+weight gradients and Adam update, which run while the calling thread
+carries the backward pass on. A job is Python code between its numpy calls,
+so it shares the interpreter lock with the calling thread, and any span
+around a package function it calls is timed on this thread. The thread
+starts with the first handed-over call; a forked child starts its own.
 """
 
 from __future__ import annotations
@@ -20,63 +25,25 @@ from concurrent.futures import Future, ThreadPoolExecutor, wait
 
 _executor: ThreadPoolExecutor | None = None
 _lock = threading.Lock()
-_pending = 0  # calls handed over and not yet finished or cancelled
-_here = threading.local()
 
 
 def _forget():
-    global _executor, _lock, _pending
+    global _executor, _lock
     _executor = None
     _lock = threading.Lock()
-    _pending = 0
 
 
 # a forked child has no helper thread, only the parent's executor object
 os.register_at_fork(after_in_child=_forget)
 
 
-def _mark():
-    _here.helper = True
-
-
-def _run(fn, args, kwargs):
-    global _pending
-    try:
-        return fn(*args, **kwargs)
-    finally:  # before the future completes, so a waiter wakes to an idle helper
-        with _lock:
-            _pending -= 1
-
-
-def _dropped(fut: Future) -> None:
-    global _pending
-    if fut.cancelled():
-        with _lock:
-            _pending -= 1
-
-
-def submit(fn, *args, **kwargs) -> Future:
-    """Run ``fn(*args, **kwargs)`` on the helper thread, starting it if needed."""
-    global _executor, _pending
+def submit(fn, *args) -> Future:
+    """Run ``fn(*args)`` on the helper thread, starting it if needed."""
+    global _executor
     with _lock:
         if _executor is None:
-            _executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="toacnn-helper", initializer=_mark
-            )
-        fut = _executor.submit(_run, fn, args, kwargs)
-        _pending += 1
-    fut.add_done_callback(_dropped)
-    return fut
-
-
-def idle() -> bool:
-    """True when the helper thread has no call queued or running."""
-    return _pending == 0
-
-
-def on_helper() -> bool:
-    """True on the helper thread itself, where a call handed over would wait on itself."""
-    return getattr(_here, "helper", False)
+            _executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="toacnn-helper")
+        return _executor.submit(fn, *args)
 
 
 class Jobs:
@@ -86,10 +53,10 @@ class Jobs:
     on the calling thread, in submission order, while the helper completes
     the one it is running; then it waits for that one and raises the first
     exception of any call. The calls must not depend on one another, since
-    two of them may run at once. Used as a context manager, it drops the
-    calls not yet started when the block raises and waits for the running
-    one, so no call outlives the block and the block's exception is the one
-    that propagates.
+    two of them may run at once. Used as a context manager, it finishes the
+    calls when the block ends; when the block raises, it drops the calls not
+    yet started instead and waits for the running one, so no call outlives
+    the block and the block's exception is the one that propagates.
     """
 
     def __init__(self):

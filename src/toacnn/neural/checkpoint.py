@@ -30,10 +30,11 @@ from .profile import NetworkProfile
 MAGIC = b"TOACNN01"
 
 
-@dataclass
+@dataclass(eq=False)
 class Checkpoint:
     """A trained network: its profile, its tensors in ``parameter_specs()``
-    order, and how it was trained.
+    order, and how it was trained. Two checkpoints compare equal only when
+    they are the same object; compare ``save_checkpoint`` bytes instead.
 
     The checkpoint owns its tensors and makes them read-only when it is
     built. An array that shares another's memory is copied first, so that

@@ -50,11 +50,11 @@ shape of both profiles in tests/test_neural_layers.py). Smaller products,
 among them all of ``small_profile``'s, stay whole: there a split does not
 pay, and BLAS picks its small-matrix and matrix-vector kernels by size, so a
 split would no longer be bitwise. The helper thread is the package's one
-(see toacnn.helper). During training it also runs whole jobs, each layer's
-parameter gradients and update, so a product splits only while it has
-nothing queued or running, and a product inside such a job stays whole:
-split there, its lower half would wait behind the job itself. Split or
-whole, on either thread, the bytes are the same.
+(see toacnn.helper), and the lower half goes to it as any other call does:
+if the helper has not started it when the upper half is done, because it
+is busy with training's jobs or another caller's half or is the calling
+thread itself, the calling thread takes it back and computes it. Either
+way each half is the same product, so the bytes are the same.
 """
 
 from __future__ import annotations
@@ -72,19 +72,17 @@ _SPLIT_MIN_MACS = 1 << 25
 
 
 def _matmul(a, b):
-    """a @ b; in a large product the helper thread computes the lower half of
-    the output rows while the calling thread computes the upper half, if the
-    helper has nothing else to do. On the helper thread itself the product
-    stays whole: its one thread would wait on itself."""
+    """a @ b; in a large product the lower half of the output rows is handed
+    to the helper thread while the calling thread computes the upper half."""
     m, k = a.shape
     n = b.shape[1]
-    if m * k * n < _SPLIT_MIN_MACS or not helper.idle() or helper.on_helper():
+    if m * k * n < _SPLIT_MIN_MACS:
         return a @ b
     out = np.empty((m, n), dtype=np.result_type(a, b))
     h = m // 2
-    lower = helper.submit(np.matmul, a[h:], b, out=out[h:])
-    np.matmul(a[:h], b, out=out[:h])
-    lower.result()
+    with helper.Jobs() as lower:
+        lower.submit(np.matmul, a[h:], b, out[h:])
+        np.matmul(a[:h], b, out=out[:h])
     return out
 
 

@@ -99,11 +99,8 @@ class NetworkProfile:
 
     def dense_parameter_count(self) -> int:
         """Adaptive-block weights and biases only."""
-        f = self.flatten_width
-        n = self.adaptive_units
-        if n == 0:
-            return f * f + f
-        return f * n + n + n * f + f
+        return sum(math.prod(shape) for name, shape, _ in self.parameter_specs()
+                   if name.startswith("dense"))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

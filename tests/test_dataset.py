@@ -3,12 +3,14 @@
 import dataclasses
 import json
 import os
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from toacnn import dataset as ds
+from toacnn import fem, microstructure, pressure
 from toacnn.cantilever import CantileverConfig
 from toacnn.errors import FormatError
 from toacnn.microstructure import MicroConfig
@@ -328,6 +330,15 @@ class TinyCfg:
         return CantileverConfig(**kw)
 
 
+def split_every_block(monkeypatch):
+    """Drop the split floor, with fresh assembly caches so that no band
+    layout built under the floor is reused; undoing the patch restores both."""
+    monkeypatch.setattr(fem, "_SPLIT_MIN_MACS", 0)
+    for module, name in ((fem, "stiffness_assembly"), (pressure, "_darcy_assembly"),
+                         (microstructure, "periodic_assembly")):
+        monkeypatch.setattr(module, name, lru_cache(getattr(module, name).__wrapped__))
+
+
 class TestGenerate:
     def test_unknown_problem(self, tmp_path):
         with pytest.raises(ValueError, match="unknown problem"):
@@ -461,8 +472,13 @@ class TestGenerate:
         assert again == first  # deterministic solver reproduces the record
         assert os.path.exists(os.path.join(out, "target_030.pgm"))
 
-    def test_threaded_matches_serial(self, tmp_path):
-        # each worker thread's solver runs have their own workspace
+    @pytest.mark.parametrize("split", ["default", "every block"])
+    def test_threaded_matches_serial(self, tmp_path, split, monkeypatch):
+        # each worker thread's solver runs have their own workspace; with no
+        # floor every block splits, and the workers' halves meet on the one
+        # helper thread
+        if split == "every block":
+            split_every_block(monkeypatch)
         configs = {
             "cantilever": TinyCfg.make(),
             "arch": PressureConfig(nelx=12, nely=6, maxit=8),
@@ -480,6 +496,12 @@ class TestGenerate:
                 pa = ds.read_pgm_file(os.path.join(serial, r.target))
                 pb = ds.read_pgm_file(os.path.join(pool, r.target))
                 assert np.array_equal(pa, pb)
+        if split == "every block":
+            layouts = [layout for assembly in (fem.stiffness_assembly(fem.Grid(12, 6)),
+                                               pressure._darcy_assembly(fem.Grid(12, 6)),
+                                               microstructure.periodic_assembly(fem.Grid(8, 8)))
+                       for layout in assembly._layouts.values()]
+            assert len(layouts) >= 3 and all(layout.separator for layout in layouts)
 
     def test_load_samples_shapes(self, tmp_path):
         out = str(tmp_path / "data")

@@ -584,6 +584,38 @@ class TestFactor:
         assert errors == []
         assert all(len(a._layouts) == 1 for a in shared)
 
+    def test_split_solve_takes_back_its_half_from_a_busy_helper(self, monkeypatch):
+        import threading
+
+        import toacnn.fem as fem
+        from toacnn import helper
+
+        g = Grid(12, 6)
+        rng = np.random.default_rng(14)
+        blocks = rng.uniform(0.1, 1.0, g.n_elements)[:, None, None] * element_stiffness(Material())
+        fixed = np.arange(2 * (g.nely + 1))
+        f = np.zeros(g.n_dofs)
+        f[2 * (g.nelx * (g.nely + 1) + g.nely) + 1] = -1.0
+        # with no floor the block splits, so the factorization and every
+        # back-solve hand half B to the helper
+        monkeypatch.setattr(fem, "_SPLIT_MIN_MACS", 0)
+        k = Assembly.build(edof_matrix(g), g.n_dofs).assemble(blocks)
+        assert k.assembly.band_layout(fixed).separator > 0
+        free = factorize(k, fixed).solve(f)
+        # the helper is kept busy, so the caller takes each half B back
+        event = threading.Event()
+        result = []
+        solver = threading.Thread(target=lambda: result.append(factorize(k, fixed).solve(f)))
+        try:
+            helper.submit(event.wait, 30)
+            solver.start()
+            solver.join(timeout=5)
+            assert not solver.is_alive() and not event.is_set()
+        finally:
+            event.set()
+            solver.join(timeout=60)
+        assert np.array_equal(result[0], free)
+
     @pytest.mark.parametrize("problem", ["cantilever", "micro"])
     def test_one_factorization_per_iteration(self, problem, monkeypatch):
         import toacnn.fem as fem

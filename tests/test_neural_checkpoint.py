@@ -256,3 +256,10 @@ class TestOwnership:
         for arr in base:
             arr += 1.0
         assert save_checkpoint(ck) == before
+
+    def test_comparing_checkpoints_does_not_raise(self):
+        # equality is identity: the tensors are arrays, which have no truth value
+        ck1, ck2 = make_ck(), make_ck()
+        assert ck1 == ck1
+        assert ck1 != ck2
+        assert save_checkpoint(ck1) == save_checkpoint(ck2)

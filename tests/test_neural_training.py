@@ -254,7 +254,10 @@ class TestFailingJob:
         with pytest.raises(RuntimeError) as exc:
             train(small_profile(64), samples, cfg)
         assert exc.value is error
-        assert helper.idle()
+        # a call submitted now runs after everything queued before it
+        ran = len(calls)
+        helper.submit(int).result(timeout=60)
+        assert len(calls) == ran
         monkeypatch.undo()
         assert save_checkpoint(train(small_profile(64), samples, cfg)[0]) == want
 
@@ -280,7 +283,7 @@ class TestFailingJob:
         with pytest.raises(ValueError) as exc:
             train(small_profile(64), samples, cfg)
         assert exc.value is error
-        assert helper.idle()
+        helper.submit(int).result(timeout=60)  # runs after everything queued
         assert len(calls) == 1
         monkeypatch.undo()
         assert save_checkpoint(train(small_profile(64), samples, cfg)[0]) == want
@@ -288,8 +291,7 @@ class TestFailingJob:
 
 def test_concurrent_jobs_all_run_and_leave_the_helper_idle():
     # four threads share the one helper thread, taking back queued calls in
-    # finish, under a short switch interval; a lost update of the helper's
-    # count of queued and running calls would leave it looking busy
+    # finish, under a short switch interval; each call runs exactly once
     done = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -311,7 +313,6 @@ def test_concurrent_jobs_all_run_and_leave_the_helper_idle():
     finally:
         sys.setswitchinterval(interval)
     assert sorted(done) == [(k, i) for k in range(4) for i in range(200)]
-    assert helper.idle()
 
 
 _HELPER_PRODUCT_PROBE = """
