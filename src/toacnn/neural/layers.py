@@ -16,7 +16,9 @@ instead of a sliding-window einsum:
   kernels read as a (kh*kw*Cin, Cout) matrix. The cache is (column matrix,
   kernels). The kernel gradient is columnsᵀ @ d. The input gradient is the
   same-size convolution of d with the kernels flipped in space and with Cin
-  and Cout swapped: a column matrix of d times a (kh*kw*Cout, Cin) matrix.
+  and Cout swapped: a column matrix of d times a (kh*kw*Cout, Cin) matrix,
+  built and multiplied in slabs of image rows so that the whole column
+  matrix is never held.
 - ``tconv``: stride equals kernel size f, so every input pixel owns one
   disjoint f-by-f output block. The forward is one (f*f*Cout, Cin) @
   (Cin, H*W) product followed by a block transpose, which writes the output
@@ -45,8 +47,9 @@ enc0's and dec2's) is split by output rows: one helper thread computes the
 lower half into a shared output while the calling thread computes the upper
 half. Each output element is still one inner product over the whole inner
 dimension, which BLAS blocks the same way whatever the row count, so the
-split result is byte for byte the whole product's (checked on every product
-shape of both profiles in tests/test_neural_layers.py). Smaller products,
+split result is byte for byte the whole product's, and so is a conv input
+gradient made in slabs (both checked on every product of both profiles in
+tests/test_neural_layers.py). Smaller products,
 among them all of ``small_profile``'s, stay whole: there a split does not
 pay, and BLAS picks its small-matrix and matrix-vector kernels by size, so a
 split would no longer be bitwise. The helper thread is the package's one
@@ -69,6 +72,12 @@ from .. import helper
 # 0.84 -> 0.69 ms); full_profile's dec1 products (2^25.3) went 1.1 -> 0.85 ms,
 # while enc0's (2^22.5) ran up to 2x slower split.
 _SPLIT_MIN_MACS = 1 << 25
+# Largest slab of a conv input gradient's column matrix. On full_profile the
+# whole matrices take 23 MB (enc1) and 11.5 MB (enc2), which this cuts into
+# 4 and 2 slabs; small_profile's fit in one. On two cores and one BLAS
+# thread, full_profile(64) steps ran as fast with 6 MB slabs as with whole
+# matrices, and about 5 % slower with 3 MB or 1.5 MB ones.
+_SLAB_BYTES = 6 << 20
 
 
 def _matmul(a, b):
@@ -86,17 +95,28 @@ def _matmul(a, b):
     return out
 
 
-def _im2col(x, kh, kw):
-    """(H*W, kh*kw*C) column matrix of a zero-padded (H, W, C) image."""
+def _im2col_slabs(x, kh, kw, rows):
+    """Column matrices of a zero-padded (H, W, C) image, ``rows`` image rows
+    at a time: yields (r0, r1, the (r*W, kh*kw*C) matrix of rows r0:r1). The
+    slabs share one buffer, so each is valid until the next is made."""
     h, w, c = x.shape
     ph, pw = kh // 2, kw // 2
     xp = np.zeros((h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
     xp[ph : ph + h, pw : pw + w] = x
-    cols = np.empty((h, w, kh, kw, c), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[i : i + h, j : j + w]
-    return cols.reshape(h * w, kh * kw * c)
+    buf = np.empty((min(rows, h), w, kh, kw, c), dtype=xp.dtype)
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        cols = buf[: r1 - r0]
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, :, i, j] = xp[r0 + i : r1 + i, j : j + w]
+        yield r0, r1, cols.reshape((r1 - r0) * w, kh * kw * c)
+
+
+def _im2col(x, kh, kw):
+    """(H*W, kh*kw*C) column matrix of a zero-padded (H, W, C) image."""
+    _, _, cols = next(_im2col_slabs(x, kh, kw, x.shape[0]))
+    return cols
 
 
 def conv2d_forward(x, kernels, bias):
@@ -119,12 +139,19 @@ def conv2d_param_grads(cache, d_out):
 
 
 def conv2d_backward(cache, d_out):
-    """Input gradient of a conv; conv2d_param_grads gives its parameters'."""
+    """Input gradient of a conv; conv2d_param_grads gives its parameters'.
+
+    The column matrix of ``d_out`` is built and multiplied in slabs of
+    image rows of at most ``_SLAB_BYTES``, so the whole matrix is never held.
+    """
     _, kernels = cache
     kh, kw, cin, cout = kernels.shape
     h, w, _ = d_out.shape
     flipped = kernels[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * cout, cin)
-    dx = _matmul(_im2col(d_out, kh, kw), flipped).reshape(h, w, cin)
+    rows = max(1, _SLAB_BYTES // (w * kh * kw * cout * d_out.itemsize))
+    dx = np.empty((h, w, cin), dtype=np.result_type(d_out, flipped))
+    for r0, r1, cols in _im2col_slabs(d_out, kh, kw, rows):
+        dx[r0:r1] = _matmul(cols, flipped).reshape(r1 - r0, w, cin)
     return dx.astype(np.float32, copy=False)
 
 

@@ -115,10 +115,13 @@ def forward(
     params: Sequence[np.ndarray],
     x: np.ndarray,
     layouts: dict[int, np.ndarray] | None = None,
+    keep_caches: bool = True,
 ) -> tuple[np.ndarray, list]:
     """Run the network; returns (output, caches) for a later backward.
     ``layouts``, if given, is ``product_layouts(profile, params)``: the
-    transposed convs then take their kernels' matrices from it."""
+    transposed convs then take their kernels' matrices from it. With
+    ``keep_caches`` false, each op's cache is dropped as the walk passes it
+    and the list comes back empty."""
     x = np.asarray(x, dtype=np.float32)
     if x.shape != (profile.input_size, profile.input_size, 1):
         raise ValueError(
@@ -126,7 +129,8 @@ def forward(
         )
     caches = []
     for _, x, c in _walk(profile, params, x, layouts):
-        caches.append(c)
+        if keep_caches:
+            caches.append(c)
     return x, caches
 
 
@@ -139,14 +143,17 @@ def backward(
 ) -> list[np.ndarray] | None:
     """Gradient of the scalar loss w.r.t. every parameter, given dL/d(output).
 
-    The walk runs the input-gradient chain from the last op to the first.
+    The walk runs the input-gradient chain from the last op to the first,
+    and consumes ``caches``: it pops each op's cache as it reaches that op,
+    so the list ends empty and no cache outlives its last reader.
     Once it has a layer's input gradient it calls ``emit(p, param_grads,
     cache, d)`` for that layer, whose parameters are ``params[p]`` and
     ``params[p + 1]``: ``param_grads(cache, d)`` returns their gradients.
-    The walk reads no layer's parameters after that call, so ``emit`` may
-    update them, on any thread. Without ``emit`` the gradients come back as
-    one list in parameter order. The first op is a conv on the input image,
-    so it gets no input gradient.
+    The walk keeps no reference to that cache or to ``d`` after the call,
+    and reads no layer's parameters after it, so ``emit`` may update them,
+    on any thread. Without ``emit`` the gradients come back as one list in
+    parameter order. The first op is a conv on the input image, so it gets
+    no input gradient.
     """
     grads: list[np.ndarray | None] | None = None
     if emit is None:
@@ -156,7 +163,8 @@ def backward(
             grads[p], grads[p + 1] = param_grads(cache, d)
 
     d = np.asarray(d_out, dtype=np.float32)
-    for (kind, _, p, aux), cache in zip(reversed(_plan(profile)[1:]), reversed(caches[1:])):
+    for kind, _, p, aux in reversed(_plan(profile)[1:]):
+        cache = caches.pop()
         if kind == "conv":
             dx = conv2d_backward(cache, d)
             emit(p, conv2d_param_grads, cache, d)
@@ -175,7 +183,7 @@ def backward(
             dx = tconv_backward(cache, d)
             emit(p, tconv_param_grads, cache, d)
             d = dx
-    emit(0, conv2d_param_grads, caches[0], d)
+    emit(0, conv2d_param_grads, caches.pop(), d)
     return grads
 
 
@@ -185,8 +193,8 @@ def predict(
     x: np.ndarray,
     layouts: dict[int, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Forward pass without keeping caches."""
-    y, _ = forward(profile, params, x, layouts)
+    """Forward pass that drops each op's cache as it goes."""
+    y, _ = forward(profile, params, x, layouts, keep_caches=False)
     return y
 
 

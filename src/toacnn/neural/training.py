@@ -83,11 +83,10 @@ def adam_step(
     beta1) * g``, ``v = beta2 * v + (1 - beta2) * (g * g)`` and ``p -= lr *
     (m / c1) / (sqrt(v / c2) + eps)`` in their order, with beta1 = 0.9,
     beta2 = 0.999 and eps = 1e-8, so the result is bit for bit that of these
-    expressions, without their full-size temporaries.
+    expressions, without their full-size temporaries. ``_adam_chunk`` holds
+    these operations; training's dense weight update runs the same ones.
     """
     state.t += 1
-    c1 = 1.0 - _BETA1**state.t
-    c2 = 1.0 - _BETA2**state.t
     chunk = min(_ADAM_CHUNK, max([1] + [g.size for g in grads]))
     buf_a = np.empty(chunk, dtype=np.float32)
     buf_b = np.empty(chunk, dtype=np.float32)
@@ -100,44 +99,88 @@ def adam_step(
         )
         with it:
             for gc, m, v, p in it:
-                a = buf_a[: gc.size]
-                b = buf_b[: gc.size]
-                np.multiply(m, _BETA1, out=m)
-                np.multiply(gc, 1.0 - _BETA1, out=a)
-                m += a
-                np.multiply(v, _BETA2, out=v)
-                np.multiply(gc, gc, out=a)
-                a *= 1.0 - _BETA2
-                v += a
-                np.divide(m, c1, out=a)
-                a *= lr
-                np.divide(v, c2, out=b)
-                np.sqrt(b, out=b)
-                b += _EPS
-                a /= b
-                p -= a
+                _adam_chunk(gc, m, v, p, buf_a[: gc.size], buf_b[: gc.size], lr, state.t)
+
+
+def _adam_chunk(g, m, v, p, a, b, lr, t):
+    """Adam's float32 operations at step ``t`` on one chunk, in place on m,
+    v and p; a and b are scratch of the chunk's shape."""
+    np.multiply(m, _BETA1, out=m)
+    np.multiply(g, 1.0 - _BETA1, out=a)
+    m += a
+    np.multiply(v, _BETA2, out=v)
+    np.multiply(g, g, out=a)
+    a *= 1.0 - _BETA2
+    v += a
+    np.divide(m, 1.0 - _BETA1**t, out=a)
+    a *= lr
+    np.divide(v, 1.0 - _BETA2**t, out=b)
+    np.sqrt(b, out=b)
+    b += _EPS
+    a /= b
+    p -= a
+
+
+def _dense_weight_step(pairs, scale, m, v, p, lr, t):
+    """Adam step ``t`` on a dense weight whose gradient is the sum of x ⊗ d
+    over the (x, d) ``pairs``, times ``scale`` if given. The gradient is
+    formed one row block at a time, with the float32 operations of ``g =
+    x1 ⊗ d1; g += x2 ⊗ d2; ...; g *= scale``, and each block takes its Adam
+    step at once, so the whole gradient is never held."""
+    cols = p.shape[1]
+    rows = max(1, _ADAM_CHUNK // cols)
+    bufs = np.empty((3, min(rows, p.shape[0]), cols), dtype=np.float32)
+    for r0 in range(0, p.shape[0], rows):
+        r1 = min(r0 + rows, p.shape[0])
+        g, a, b = bufs[:, : r1 - r0]
+        x, d = pairs[0]
+        np.multiply(x[r0:r1, None], d, out=g)
+        for x, d in pairs[1:]:
+            np.multiply(x[r0:r1, None], d, out=a)
+            g += a
+        if scale is not None:
+            g *= scale
+        _adam_chunk(g, m[r0:r1], v[r0:r1], p[r0:r1], a, b, lr, t)
 
 
 def _update(layers, acc, n, state, params, lr):
     """Adds one sample's gradients of each layer ``(p, param_grads, cache,
     d)`` in ``layers``, whose parameters are params[p] and params[p + 1],
-    into ``acc``; with ``n``, the batch size, the batch mean then updates
-    those parameters in one Adam step."""
+    into ``acc``, taking each layer off the list so that its cache is freed
+    once read; with ``n``, the batch size, the batch mean then updates those
+    parameters in one Adam step, and their sums are dropped.
+
+    A dense weight's gradient x ⊗ d is never formed whole: its entry in
+    ``acc`` lists the batch's (x, d) pairs, and the update forms it block by
+    block (``_dense_weight_step``)."""
     touched = []
-    for p, param_grads, cache, d in layers:
-        for i, g in zip((p, p + 1), param_grads(cache, d)):
+    while layers:
+        p, param_grads, cache, d = layers.pop(0)
+        if params[p].ndim == 2:
+            # a dense layer: cache is (x, weight), and the bias gradient is d,
+            # copied since the sum below is taken in place
+            grads = ([(cache[0], d)], d.copy())
+        else:
+            grads = param_grads(cache, d)
+        del cache, d
+        for i, g in zip((p, p + 1), grads):
             if acc[i] is None:
                 acc[i] = g
             else:
-                acc[i] += g
+                acc[i] += g  # a list of pairs grows by one
             touched.append(i)
     if n and touched:
-        if n > 1:
-            scale = np.float32(1.0 / n)
-            for i in touched:
+        scale = np.float32(1.0 / n) if n > 1 else None
+        dense = [i for i in touched if isinstance(acc[i], list)]
+        rest = [i for i in touched if i not in dense]
+        if scale is not None:
+            for i in rest:
                 acc[i] *= scale
-        adam_step(state.part(touched), [params[i] for i in touched],
-                  [acc[i] for i in touched], lr)
+        adam_step(state.part(rest), [params[i] for i in rest], [acc[i] for i in rest], lr)
+        for i in dense:
+            _dense_weight_step(acc[i], scale, state.m[i], state.v[i], params[i], lr, state.t + 1)
+        for i in touched:
+            acc[i] = None
 
 
 def train(
@@ -161,9 +204,19 @@ def train(
     small layers do the same together on the calling thread once the walk
     is over. Each sample ends when all of its jobs have run. A job comes
     after its layer's input gradient because the update rewrites the
-    weights that gradient reads. Every operation and the order of every sum
-    are those of computing all gradients first and then updating, so the
-    checkpoint is the same bytes.
+    weights that gradient reads.
+
+    Each array lives only until its last reader is done: the walk pops
+    each layer's cache as it passes it, a job holds only the cache and
+    output gradient it was handed and lets them go once its gradients are
+    summed, and each sum is dropped after its Adam step. A dense weight's
+    gradient is never formed whole; the job keeps each sample's (x, d), and
+    the update forms the sum of x ⊗ d one row block at a time.
+
+    Every operation and the order of every sum are those of running
+    ``backward`` without ``emit`` on each sample, taking the batch mean of
+    the gradients and then one ``adam_step``, so the checkpoint is the same
+    bytes.
     """
     if not samples:
         raise ValueError("cannot train on an empty sample list")

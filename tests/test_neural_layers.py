@@ -13,7 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import toacnn
 from toacnn import helper
-from toacnn.neural import layers
+from toacnn.neural import layers, model
 from toacnn.neural.layers import (
     conv2d_backward,
     conv2d_forward,
@@ -167,6 +167,17 @@ class TestConvOracle:
         dk, db = conv2d_param_grads(cache, d)
         for actual, reference in zip((y, dx, dk, db), ref_conv2d(x, ker, b, d)):
             assert_matches(actual, reference)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_backward_in_slabs_matches_einsum(self, monkeypatch, rows):
+        rng = np.random.default_rng(rows)
+        h, w, cin, cout, k = 7, 5, 2, 3, 3
+        x, ker, b = rand(rng, h, w, cin), rand(rng, k, k, cin, cout), rand(rng, cout)
+        d = rand(rng, h, w, cout)
+        _, cache = conv2d_forward(x, ker, b)
+        # slabs of `rows` image rows, the last one shorter unless rows divides h
+        monkeypatch.setattr(layers, "_SLAB_BYTES", rows * w * k * k * cout * 4)
+        assert_matches(conv2d_backward(cache, d), ref_conv2d(x, ker, b, d)[1])
 
 
 class TestTconvOracle:
@@ -352,13 +363,14 @@ class TestMse:
 
 
 def product_operands(monkeypatch, profile):
-    """(a, b) of every split-capable product in one forward and backward."""
+    """(a, b) of every split-capable product in one forward and backward.
+    Each a is a copy: the slabs of a conv input gradient share one buffer."""
     rng = np.random.default_rng(11)
     side = profile.input_size
     x = (rng.uniform(0, 1, (side, side, 1)) > 0.5).astype(np.float32)
     calls = []
     whole = layers._matmul
-    monkeypatch.setattr(layers, "_matmul", lambda a, b: calls.append((a, b)) or whole(a, b))
+    monkeypatch.setattr(layers, "_matmul", lambda a, b: calls.append((a.copy(), b)) or whole(a, b))
     params = init_params(profile, 5)
     out, caches = forward(profile, params, x)
     backward(profile, params, caches, rand(rng, *out.shape))
@@ -366,22 +378,52 @@ def product_operands(monkeypatch, profile):
     return calls
 
 
+def conv_input_gradients(monkeypatch, profile):
+    """(cache, d_out) of every conv2d_backward in one forward and backward."""
+    rng = np.random.default_rng(13)
+    side = profile.input_size
+    x = (rng.uniform(0, 1, (side, side, 1)) > 0.5).astype(np.float32)
+    seen = []
+    conv_backward = model.conv2d_backward
+    monkeypatch.setattr(model, "conv2d_backward",
+                        lambda cache, d: seen.append((cache, d)) or conv_backward(cache, d))
+    params = init_params(profile, 5)
+    out, caches = forward(profile, params, x)
+    backward(profile, params, caches, rand(rng, *out.shape))
+    monkeypatch.undo()
+    return seen
+
+
 class TestSplitProduct:
-    @pytest.mark.parametrize("profile", [full_profile(64), small_profile(64)], ids=["full", "small"])
-    def test_split_equals_whole_bitwise_on_every_product(self, monkeypatch, profile):
+    @pytest.mark.parametrize(
+        "profile, count", [(full_profile(64), 21), (small_profile(64), 17)], ids=["full", "small"]
+    )
+    def test_split_equals_whole_bitwise_on_every_product(self, monkeypatch, profile, count):
         calls = product_operands(monkeypatch, profile)
-        # no input-gradient product for the first conv
-        assert len(calls) == 3 * len(profile.encoder) - 1 + 3 * len(profile.decoder)
+        # three products per layer, less the first conv's input gradient;
+        # full_profile's enc1 and enc2 input gradients take 4 and 2 slabs
+        assert len(calls) == count
         for a, b in calls:
             for rows in (a, a[1:]):  # both row-count parities
                 assert layers._matmul(rows, b).tobytes() == (rows @ b).tobytes()
+
+    @pytest.mark.parametrize("profile", [full_profile(64), small_profile(64)], ids=["full", "small"])
+    def test_slabs_give_the_whole_input_gradient_bitwise(self, monkeypatch, profile):
+        # against the product of the whole column matrix, in one slab
+        for cache, d in conv_input_gradients(monkeypatch, profile):
+            slabbed = conv2d_backward(cache, d)
+            monkeypatch.setattr(layers, "_SLAB_BYTES", 1 << 62)
+            assert conv2d_backward(cache, d).tobytes() == slabbed.tobytes()
+            monkeypatch.undo()
 
     def test_only_large_full_profile_products_split(self, monkeypatch):
         sizes = [a.shape[0] * a.shape[1] * b.shape[1]
                  for p in (full_profile(64), small_profile(64))
                  for a, b in product_operands(monkeypatch, p)]
-        # enc1, enc2, dec0 and dec1 of the full profile: three products each
-        assert sum(s >= layers._SPLIT_MIN_MACS for s in sizes) == 12
+        # enc1, enc2, dec0 and dec1 of the full profile: a forward and a
+        # kernel-gradient product each, and one input-gradient product per
+        # slab (enc1 4, enc2 2, dec0 and dec1 1)
+        assert sum(s >= layers._SPLIT_MIN_MACS for s in sizes) == 16
 
     def test_import_starts_no_thread(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(toacnn.__file__)))

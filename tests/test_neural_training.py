@@ -19,6 +19,7 @@ from toacnn.fem import DensityField
 from toacnn.neural import layers, model, training
 from toacnn.dataset import make_input_image
 from toacnn.neural.checkpoint import Checkpoint, save_checkpoint
+from toacnn.neural.layers import mse_loss
 from toacnn.neural.model import init_params, predict
 from toacnn.neural.profile import NetworkProfile, full_profile, small_profile
 from toacnn.neural.training import AdamState, TrainConfig, adam_step, infer, train
@@ -228,6 +229,85 @@ def test_streamed_jobs_give_the_inline_checkpoint(monkeypatch, profile, batch_si
     assert trained(0) == trained(math.inf) == default
 
 
+def reference_train(profile, samples, cfg):
+    """The order ``train`` promises: for each batch, every sample's
+    gradients from ``backward`` without ``emit``, summed in sample order and
+    scaled by float32(1/n), then one ``adam_step``."""
+    params = init_params(profile, cfg.seed)
+    state = AdamState.zeros_like(params)
+    shuffle_rng = np.random.default_rng([cfg.seed, 1])
+    for _ in range(cfg.epochs):
+        order = shuffle_rng.permutation(len(samples))
+        for b0 in range(0, len(order), cfg.batch_size):
+            batch = order[b0 : b0 + cfg.batch_size]
+            total = None
+            for idx in batch:
+                x, y = samples[idx]
+                out, caches = model.forward(profile, params, x)
+                grads = model.backward(profile, params, caches, mse_loss(out, y)[1])
+                if total is None:
+                    total = grads
+                else:
+                    for t, g in zip(total, grads):
+                        t += g
+            if len(batch) > 1:
+                for t in total:
+                    t *= np.float32(1.0 / len(batch))
+            adam_step(state, params, total, cfg.lr)
+    return params
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+@pytest.mark.parametrize("profile", [small_profile(64), small_profile(0)], ids=["small64", "small0"])
+def test_train_gives_the_reference_trainers_bytes(monkeypatch, profile, batch_size):
+    samples = samples_for(profile, 4, seed=10)  # at batch size 3, batches of 3 and 1
+    cfg = TrainConfig(epochs=2, lr=1e-3, seed=11, batch_size=batch_size)
+    want = [p.tobytes() for p in reference_train(profile, samples, cfg)]
+    assert [p.tobytes() for p in train(profile, samples, cfg)[0].params] == want
+
+    def whole_dense_gradient(*args):
+        raise AssertionError("training formed a whole dense weight gradient")
+
+    # the same bytes without dense_param_grads, on either thread
+    monkeypatch.setattr(model, "dense_param_grads", whole_dense_gradient)
+    monkeypatch.setattr(layers, "dense_param_grads", whole_dense_gradient)
+    for floor in (training._STREAM_MIN, 0):
+        monkeypatch.setattr(training, "_STREAM_MIN", floor)
+        assert [p.tobytes() for p in train(profile, samples, cfg)[0].params] == want
+
+
+_FULL0_STEP_PROBE = """
+import numpy as np
+
+from toacnn.neural.profile import full_profile
+from toacnn.neural.training import TrainConfig, train
+
+rng = np.random.default_rng(0)
+x = (rng.uniform(0, 1, (100, 100, 1)) > 0.5).astype(np.float32)
+y = rng.uniform(0, 1, (100, 100, 1)).astype(np.float32)
+train(full_profile(0), [(x, y)], TrainConfig(epochs=1, lr=1e-3, seed=3))
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_full_profile_n0_step_never_holds_the_dense_weight_gradient():
+    # full_profile(0)'s 12800 x 12800 weight and its two Adam moments take
+    # 3 x 625 MiB. On a 2-vCPU x86-64 machine with one BLAS thread, this
+    # probe's VmHWM read 2208 MiB with the weight gradient formed in row
+    # blocks, and 2870 MiB with the whole 625 MiB gradient held.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toacnn.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", _FULL0_STEP_PROBE], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout) / 1024
+    weight_mb = 12800 * 12800 * 4 / 2**20
+    assert 3 * weight_mb < peak_mb < 2500
+
+
 class TestFailingJob:
     def reference(self):
         samples = samples_for(small_profile(64), 2, seed=9)
@@ -330,9 +410,11 @@ print(whole.tobytes() == (a @ b).tobytes())
 """
 
 
-def test_large_product_inside_a_helper_job_stays_whole():
-    # a split on the helper thread would queue its half behind itself; the
-    # probe runs in its own process so a hang fails the test and ends there
+def test_large_product_inside_a_helper_job_takes_its_half_back():
+    # a product made on the helper thread splits like any other; its lower
+    # half queues behind the job that made it, so Jobs.finish takes it back
+    # and runs it there. The probe runs in its own process so a hang fails
+    # the test and ends there
     src = os.path.dirname(os.path.dirname(os.path.abspath(toacnn.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", _HELPER_PRODUCT_PROBE], env=env,
