@@ -26,7 +26,6 @@ from .dataset import (
     generate_dataset,
     load_samples,
     parse_json,
-    read_manifest,
     write_pgm_file,
 )
 from .errors import FormatError, SolverFailure, TrainingDiverged
@@ -149,17 +148,8 @@ def cmd_infer(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = build_problem_config(args)
-    checkpoints = {}
-    for path in args.checkpoint:
-        ck = load_checkpoint_file(path)
-        n = ck.profile.adaptive_units
-        if n in checkpoints:
-            raise ValueError(f"two checkpoints with adaptive width {n}")
-        checkpoints[n] = ck
-    vfs = args.vf
-    if vfs is None:
-        vfs = [r.vf for r in read_manifest(args.manifest) if r.error is None]
-    records = eval_report(checkpoints, args.manifest, cfg, vfs)
+    checkpoints = [load_checkpoint_file(path) for path in args.checkpoint]
+    records = eval_report(checkpoints, args.manifest, cfg, args.vf)
     sys.stdout.write(render_report(records))
     if args.out:
         write_report(records, args.out)

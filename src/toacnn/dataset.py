@@ -226,16 +226,14 @@ def write_manifest(records: list[ManifestRecord], path: str) -> None:
     atomic_write(path, manifest_bytes(records))
 
 
-def read_manifest(path: str, validate: bool = True) -> list[ManifestRecord]:
-    """Load and (by default) validate a manifest.
+def read_manifest(path: str) -> list[ManifestRecord]:
+    """Load and validate a manifest.
 
     Validation enforces strictly increasing vf, a single shared fingerprint,
     and existence of every referenced file; violations raise FormatError.
     """
     with open(path, "rb") as fh:
         records = ManifestRecord.from_lines(fh.read())
-    if not validate:
-        return records
     base = os.path.dirname(os.path.abspath(path))
     prev = -1.0
     fingerprints = {r.fingerprint for r in records}
@@ -351,13 +349,17 @@ def generate_dataset(
 
 
 def load_samples(manifest_path: str) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(input, target) float32 (H, W, 1) pairs for every non-error record."""
+    """(input, target) float32 (H, W, 1) pairs for every non-error record.
+    Only the target is read: the input is ``make_input_image`` of the vf at
+    the target's size, as ``infer`` builds it, not ``input_*.pgm``."""
     base = os.path.dirname(os.path.abspath(manifest_path))
-
-    def load(rel: str) -> np.ndarray:
-        return read_pgm_file(os.path.join(base, rel)).astype(np.float32)[:, :, None]
-
-    return [(load(r.input), load(r.target)) for r in read_manifest(manifest_path) if r.error is None]
+    samples = []
+    for r in read_manifest(manifest_path):
+        if r.error is None:
+            y = read_pgm_file(os.path.join(base, r.target))
+            x = make_input_image(r.vf, y.shape[1], y.shape[0])
+            samples.append(tuple(a.astype(np.float32)[:, :, None] for a in (x, y)))
+    return samples
 
 
 def field_from_pgm_file(path: str) -> DensityField:

@@ -58,24 +58,26 @@ class EvalRecord(JsonRecord):
 
 
 def eval_report(
-    checkpoints: dict[int, Checkpoint],
+    checkpoints: Sequence[Checkpoint],
     manifest_path: str,
     cfg: SimpConfig,
-    vfs: Sequence[float],
+    vfs: Sequence[float] | None = None,
 ) -> list[EvalRecord]:
-    """EvalRecord for every vf and checkpoint, vf-major and in ascending
-    adaptive width, never raising per cell.
+    """EvalRecord for every vf (by default, every solved manifest vf) and
+    checkpoint, vf-major and in ascending adaptive width, never raising per
+    cell. Two checkpoints of one adaptive width raise ValueError.
 
     The manifest's config fingerprint must match ``cfg`` so predictions are
     scored against targets produced by the same physics; a mismatch raises
     FormatError up front. A vf absent from the manifest or an evaluator
     failure turns into a per-record error.
     """
-    for n, ck in checkpoints.items():
-        if ck.profile.adaptive_units != n:
-            raise ValueError(
-                f"checkpoint under key {n} has adaptive width {ck.profile.adaptive_units}"
-            )
+    by_width: dict[int, Checkpoint] = {}
+    for ck in checkpoints:
+        n = ck.profile.adaptive_units
+        if n in by_width:
+            raise ValueError(f"two checkpoints with adaptive width {n}")
+        by_width[n] = ck
     records = read_manifest(manifest_path)
     if not records:
         raise FormatError(f"empty manifest {manifest_path}")
@@ -85,12 +87,14 @@ def eval_report(
             "manifest was generated with a different solver config; regenerate "
             "the dataset or evaluate with the matching config"
         )
+    if vfs is None:
+        vfs = [r.vf for r in records if r.error is None]
     base = os.path.dirname(os.path.abspath(manifest_path))
 
     target_cache: dict[float, tuple[DensityField, float]] = {}
     out: list[EvalRecord] = []
     for vf in vfs:
-        for n in sorted(checkpoints):
+        for n, ck in sorted(by_width.items()):
             def fail(msg: str) -> EvalRecord:
                 return EvalRecord(problem, vf, n, None, None, None, None, error=msg)
 
@@ -106,7 +110,7 @@ def eval_report(
                     field = field_from_pgm_file(os.path.join(base, rec.target))
                     target_cache[vf] = (field, cfg.evaluate(field))
                 target, obj_t = target_cache[vf]
-                pred = infer(checkpoints[n], vf)
+                pred = infer(ck, vf)
                 if pred.grid != target.grid:
                     out.append(fail(
                         f"prediction grid {pred.grid} does not match target {target.grid}"
@@ -131,16 +135,16 @@ def render_report(records: Sequence[EvalRecord]) -> str:
         f"{'obj_pred':>14}{'obj_target':>14}  note"
     ]
     for r in records:
+        # two decimals unless they would print another vf, such as 0.125
+        places = 2 if round(r.vf, 2) == r.vf else 3
+        head = f"{r.problem:<12}{r.vf:>6.{places}f}{r.n:>8d}"
         if r.error is None:
             lines.append(
-                f"{r.problem:<12}{r.vf:>6.2f}{r.n:>8d}{r.v_err:>10.2f}{r.obj_err:>10.2f}"
+                f"{head}{r.v_err:>10.2f}{r.obj_err:>10.2f}"
                 f"{r.objective_pred:>14.6g}{r.objective_target:>14.6g}"
             )
         else:
-            lines.append(
-                f"{r.problem:<12}{r.vf:>6.2f}{r.n:>8d}{'-':>10}{'-':>10}"
-                f"{'-':>14}{'-':>14}  {r.error}"
-            )
+            lines.append(f"{head}{'-':>10}{'-':>10}{'-':>14}{'-':>14}  {r.error}")
     return "\n".join(lines) + "\n"
 
 

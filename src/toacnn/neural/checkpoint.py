@@ -37,9 +37,9 @@ class Checkpoint:
     they are the same object; compare ``save_checkpoint`` bytes instead.
 
     The checkpoint owns its tensors and makes them read-only when it is
-    built. An array that shares another's memory is copied first, so that
-    no view can change it; one that owns its memory, as ``train``'s and
-    ``load_checkpoint``'s do, is made read-only in place, without a copy.
+    built. An array that shares another's memory, as ``load_checkpoint``'s
+    views do, is copied first, so that no view can change it; one that owns
+    its memory, as ``train``'s do, is made read-only in place, without a copy.
     """
 
     profile: NetworkProfile
@@ -70,6 +70,8 @@ class Checkpoint:
 
 
 def save_checkpoint(ck: Checkpoint) -> bytes:
+    """The checkpoint's file bytes. Each tensor's own little-endian buffer
+    is joined into them, so the only copy of a tensor made is the output's."""
     header = {
         "epochs": ck.epochs,
         "loss_tail": [float(v) for v in ck.loss_tail],
@@ -82,12 +84,13 @@ def save_checkpoint(ck: Checkpoint) -> bytes:
     }
     head = canonical_json(header).encode("utf-8")
     chunks = [MAGIC, struct.pack("<Q", len(head)), head]
-    for arr in ck.params:
-        chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    chunks += [np.ascontiguousarray(arr, dtype="<f4").data for arr in ck.params]
     return b"".join(chunks)
 
 
 def load_checkpoint(data: bytes) -> Checkpoint:
+    """The checkpoint in ``data``, or FormatError. Tensors are checked as
+    views into ``data``; ``Checkpoint`` makes the one owned copy of each."""
     if len(data) < 16 or data[:8] != MAGIC:
         raise FormatError("not a checkpoint: bad magic")
     (head_len,) = struct.unpack("<Q", data[8:16])
@@ -118,12 +121,11 @@ def load_checkpoint(data: bytes) -> Checkpoint:
             raise FormatError(
                 f"tensor mismatch: header has {entry}, profile expects {name} {shape}"
             )
-        nbytes = 4 * math.prod(shape)
-        if offset + nbytes > len(data):
+        count = math.prod(shape)
+        if offset + 4 * count > len(data):
             raise FormatError(f"checkpoint truncated inside tensor {name}")
-        arr = np.frombuffer(data[offset : offset + nbytes], dtype="<f4").reshape(shape)
-        params.append(arr.astype(np.float32, copy=True))
-        offset += nbytes
+        params.append(np.frombuffer(data, "<f4", count, offset).reshape(shape))
+        offset += 4 * count
     if offset != len(data):
         raise FormatError(f"{len(data) - offset} trailing bytes after last tensor")
     for arr, (name, _, _) in zip(params, specs):

@@ -396,7 +396,7 @@ def test_criterion_6_scaled_end_to_end(capsys, tmp_path):
     ck64, hist64 = train(small_profile(64), samples, tc)
     _, hist0 = train(small_profile(0), samples, tc)
 
-    records = eval_report({64: ck64}, manifest, cfg, [0.25, 0.50, 0.75])
+    records = eval_report([ck64], manifest, cfg, [0.25, 0.50, 0.75])
     eval_ok = all(r.error is None for r in records)
     v_worst = max((r.v_err for r in records if r.v_err is not None), default=np.inf)
     o_worst = max((r.obj_err for r in records if r.obj_err is not None), default=np.inf)

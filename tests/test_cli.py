@@ -399,6 +399,20 @@ class TestEval:
         assert rc == 2
         capsys.readouterr()
 
+    def test_duplicate_width_prints_no_table_and_writes_no_report(self, manifest, tmp_path,
+                                                                    capsys):
+        paths = [str(tmp_path / f"gray{i}.ckpt") for i in range(2)]
+        for path, level in zip(paths, (0.4, 0.6)):
+            save_checkpoint_file(gray_checkpoint(level=level), path)
+        report = tmp_path / "r.jsonl"
+        rc = main(["eval", *PHYS, "--manifest", manifest, "--checkpoint", paths[0],
+                   "--checkpoint", paths[1], "--vf", "0.4", "--out", str(report)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "adaptive width 4" in err
+        assert not report.exists()
+
     def test_solver_config_drift_exits_3(self, manifest, gray_ckpt_file, capsys):
         rc = main(["eval", *PHYS, "--penal", "4.0", "--manifest", manifest,
                    "--checkpoint", gray_ckpt_file, "--vf", "0.4"])

@@ -256,32 +256,36 @@ class TestManifest:
         ("vf", "0.2"), ("iterations", 31.0), ("iterations", True), ("objective", "x"),
         ("objective", False), ("target", None), ("fingerprint", None), ("error", ["x"]),
     ])
-    def test_mistyped_or_missing_field_is_malformed(self, tmp_path, field, value):
+    def test_mistyped_or_missing_field_is_malformed(self, field, value):
         d = json.loads(self.make_records()[0].to_json())
         if value is None:
             del d[field]
         else:
             d[field] = value
-        path = tmp_path / "manifest.jsonl"
-        path.write_text(json.dumps(d) + "\n")
         with pytest.raises(FormatError, match=field):
-            ds.read_manifest(str(path), validate=False)
+            ds.ManifestRecord.from_lines((json.dumps(d) + "\n").encode())
 
     def test_undecodable_byte_is_malformed(self, tmp_path):
+        data = _MANIFEST.replace(b"exploded", b"expl\xffded")
         path = tmp_path / "manifest.jsonl"
-        path.write_bytes(_MANIFEST.replace(b"exploded", b"expl\xffded"))
-        for validate in (True, False):
-            with pytest.raises(FormatError, match="utf-8"):
-                ds.read_manifest(str(path), validate=validate)
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match="utf-8"):
+            ds.read_manifest(str(path))
+        with pytest.raises(FormatError, match="utf-8"):
+            ds.ManifestRecord.from_lines(data)
 
     @given(edits=byte_edits(_MANIFEST), cut=st.none() | st.integers(0, len(_MANIFEST)),
            validate=st.booleans())
     @settings(max_examples=400, deadline=None)
     def test_byte_mutations_raise_only_format_error(self, sample_dir, edits, cut, validate):
+        data = mutated(_MANIFEST, edits, cut)
         path = sample_dir / "manifest.jsonl"
-        path.write_bytes(mutated(_MANIFEST, edits, cut))
+        path.write_bytes(data)
         try:
-            ds.read_manifest(str(path), validate=validate)
+            if validate:
+                ds.read_manifest(str(path))
+            else:
+                ds.ManifestRecord.from_lines(data)
         except FormatError:
             pass
 
@@ -514,3 +518,21 @@ class TestGenerate:
         for x, y in pairs:
             assert x.shape == (8, 8, 1) and x.dtype == np.float32
             assert y.shape == (8, 8, 1) and y.dtype == np.float32
+
+    def test_load_samples_inputs_come_from_vf_not_from_the_input_files(self, tmp_path):
+        out = str(tmp_path / "data")
+        records = ds.generate_dataset(
+            "cantilever", TinyCfg.make(), out, vf_start=0.3, vf_stop=0.5, vf_step=0.1,
+        )
+        manifest = os.path.join(out, "manifest.jsonl")
+        before = ds.load_samples(manifest)
+        for (x, y), r in zip(before, records):
+            expected = ds.make_input_image(r.vf, 12, 6).astype(np.float32)[:, :, None]
+            assert x.dtype == expected.dtype and np.array_equal(x, expected)
+            target = ds.read_pgm_file(os.path.join(out, r.target)).astype(np.float32)
+            assert np.array_equal(y[:, :, 0], target)
+            # the stored input is kept for inspection and never read back
+            ds.write_pgm_file(np.full((6, 12), 0.5), os.path.join(out, r.input))
+        after = ds.load_samples(manifest)
+        for (x0, y0), (x1, y1) in zip(before, after):
+            assert x0.tobytes() == x1.tobytes() and y0.tobytes() == y1.tobytes()

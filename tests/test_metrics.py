@@ -175,7 +175,7 @@ def tiny_dataset(tmp_path_factory):
 class TestEvalReport:
     def test_cross_product_and_order(self, tiny_dataset):
         cfg, manifest = tiny_dataset
-        cks = {0: gray_checkpoint(0, 0.5), 5: gray_checkpoint(5, 0.55)}
+        cks = [gray_checkpoint(5, 0.55), gray_checkpoint(0, 0.5)]
         recs = mx.eval_report(cks, manifest, cfg, [0.3, 0.5])
         assert [(r.vf, r.n) for r in recs] == [(0.3, 0), (0.3, 5), (0.5, 0), (0.5, 5)]
         targets = {r.vf: r.target for r in ds.read_manifest(manifest)}
@@ -193,11 +193,11 @@ class TestEvalReport:
 
     def test_empty_vfs(self, tiny_dataset):
         cfg, manifest = tiny_dataset
-        assert mx.eval_report({0: checkpoint_for(0)}, manifest, cfg, []) == []
+        assert mx.eval_report([checkpoint_for(0)], manifest, cfg, []) == []
 
     def test_missing_vf_is_per_record_error(self, tiny_dataset):
         cfg, manifest = tiny_dataset
-        recs = mx.eval_report({0: gray_checkpoint(0)}, manifest, cfg, [0.7])
+        recs = mx.eval_report([gray_checkpoint(0)], manifest, cfg, [0.7])
         assert len(recs) == 1
         assert "no manifest sample" in recs[0].error
 
@@ -205,12 +205,20 @@ class TestEvalReport:
         _, manifest = tiny_dataset
         drifted = CantileverConfig(nelx=8, nely=8, max_iters=6, penal=3.5)
         with pytest.raises(FormatError, match="different solver config"):
-            mx.eval_report({0: checkpoint_for(0)}, manifest, drifted, [0.3])
+            mx.eval_report([checkpoint_for(0)], manifest, drifted, [0.3])
 
-    def test_mislabeled_checkpoint_rejected(self, tiny_dataset):
+    def test_two_checkpoints_of_one_width_rejected(self, tiny_dataset):
         cfg, manifest = tiny_dataset
-        with pytest.raises(ValueError, match="adaptive width"):
-            mx.eval_report({3: checkpoint_for(5)}, manifest, cfg, [0.3])
+        with pytest.raises(ValueError, match="adaptive width 5"):
+            mx.eval_report([checkpoint_for(5), checkpoint_for(0), checkpoint_for(5, seed=1)],
+                           manifest, cfg, [0.3])
+
+    def test_default_vfs_are_the_solved_manifest_vfs(self, tiny_dataset):
+        cfg, manifest = tiny_dataset
+        cks = [gray_checkpoint(0)]
+        solved = [r.vf for r in ds.read_manifest(manifest) if r.error is None]
+        assert solved == [0.3, 0.4, 0.5]
+        assert mx.eval_report(cks, manifest, cfg) == mx.eval_report(cks, manifest, cfg, solved)
 
     def test_grid_mismatch_is_per_record_error(self, tiny_dataset):
         cfg, manifest = tiny_dataset
@@ -218,13 +226,13 @@ class TestEvalReport:
             input_size=16, encoder=((3, 2, 2), (3, 3, 2)), adaptive_units=0,
             decoder=((2, 2), (2, 1)),
         )
-        recs = mx.eval_report({0: gray_checkpoint(0, profile=big)}, manifest, cfg, [0.3])
+        recs = mx.eval_report([gray_checkpoint(0, profile=big)], manifest, cfg, [0.3])
         assert "does not match target" in recs[0].error
 
     def test_expected_gray_volume_error(self, tiny_dataset):
         # a constant 0.5 field against a vf=0.4 target: V_err ~ 100*0.1/0.4
         cfg, manifest = tiny_dataset
-        recs = mx.eval_report({0: gray_checkpoint(0, 0.5)}, manifest, cfg, [0.4])
+        recs = mx.eval_report([gray_checkpoint(0, 0.5)], manifest, cfg, [0.4])
         assert recs[0].error is None
         assert recs[0].v_err == pytest.approx(25.0, abs=3.0)  # 8-bit target
 
@@ -233,7 +241,7 @@ class TestEvalReport:
         # accuracy contract; that must surface per record, never as a raised
         # exception or a silent NaN
         cfg, manifest = tiny_dataset
-        recs = mx.eval_report({5: checkpoint_for(5)}, manifest, cfg, [0.3, 0.4, 0.5])
+        recs = mx.eval_report([checkpoint_for(5)], manifest, cfg, [0.3, 0.4, 0.5])
         assert len(recs) == 3
         for r in recs:
             if r.error is None:
@@ -243,7 +251,7 @@ class TestEvalReport:
 
     def test_render_and_file_round_trip(self, tiny_dataset, tmp_path):
         cfg, manifest = tiny_dataset
-        recs = mx.eval_report({0: gray_checkpoint(0)}, manifest, cfg, [0.3, 0.7])
+        recs = mx.eval_report([gray_checkpoint(0)], manifest, cfg, [0.3, 0.7])
         text = mx.render_report(recs)
         assert "V_err%" in text and "Obj_err%" in text
         assert "no manifest sample" in text
@@ -251,3 +259,28 @@ class TestEvalReport:
         path = str(tmp_path / "report.jsonl")
         mx.write_report(recs, path)
         assert mx.read_report(path) == recs
+
+
+class TestRenderReport:
+    @staticmethod
+    def vf_cell(vf):
+        line = mx.render_report([mx.EvalRecord("arch", vf, 8, 1.0, 2.0, 3.0, 4.0)]).splitlines()[1]
+        assert line[:12] == "arch".ljust(12) and line[18:26] == "8".rjust(8)
+        return line[12:18]
+
+    @pytest.mark.parametrize("vf, cell", [
+        (0.125, " 0.125"), (0.275, " 0.275"), (0.425, " 0.425"), (0.0125, " 0.013"),
+        (0.3, "  0.30"), (0.45, "  0.45"), (0.5, "  0.50"), (1.0, "  1.00"),
+    ])
+    def test_vf_keeps_two_decimals_unless_they_name_another_vf(self, vf, cell):
+        assert self.vf_cell(vf) == cell
+
+    def test_pinned_rows_are_unchanged(self):
+        text = mx.render_report([
+            mx.EvalRecord("cantilever", 0.5, 64, 1.2, 3.4, 10.0, 9.9),
+            mx.EvalRecord("micro", 0.25, 0, None, None, None, None, error="no target"),
+        ])
+        assert text.splitlines()[1:] == [
+            "cantilever    0.50      64      1.20      3.40            10           9.9",
+            "micro         0.25       0         -         -             -             -  no target",
+        ]

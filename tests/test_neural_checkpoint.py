@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,3 +264,39 @@ class TestOwnership:
         assert ck1 == ck1
         assert ck1 != ck2
         assert save_checkpoint(ck1) == save_checkpoint(ck2)
+
+
+# 17.3 MB of tensors, 16.4 MB of them in one dense weight
+LARGE = NetworkProfile(40, ((3, 8, 2), (3, 8, 2), (3, 512, 5)), 0, ((5, 8), (2, 8), (2, 1)))
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneCopyPerTensor:
+    """Saving copies each tensor once, into the file's bytes; loading copies
+    it once, into memory the checkpoint owns."""
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        return Checkpoint(LARGE, init_params(LARGE, 0), 0, 1, [1.0])
+
+    def test_save_peak_is_the_output(self, large):
+        tensor_bytes = sum(arr.nbytes for arr in large.params)
+        assert tensor_bytes > 17_000_000
+        _, peak = traced_peak(save_checkpoint, large)
+        assert peak <= 1.1 * tensor_bytes
+
+    def test_load_peak_is_the_tensors(self, large):
+        blob = save_checkpoint(large)
+        ck, peak = traced_peak(load_checkpoint, blob)
+        assert peak <= 1.1 * len(blob)
+        for arr in ck.params:
+            assert arr.dtype == np.float32 and arr.flags.owndata and not arr.flags.writeable
+        assert save_checkpoint(ck) == blob
